@@ -144,15 +144,7 @@ def lhs_extended_second(
 ) -> TruncatedSeries:
     """Weights 3F2(-n, gamma, 2 lam - gamma; 2 lam, lam + 1/2; u)."""
     check_lambda(lam)
-    w = np.array(
-        [
-            pfq_terminating(
-                n, [gamma, 2.0 * lam - gamma], [2.0 * lam, lam + 0.5], u
-            )
-            for n in range(order + 1)
-        ]
-    )
-    return gegenbauer_weighted_series(lam, x, order, w)
+    return lhs_lemma(lam, (gamma, 2.0 * lam - gamma), (2.0 * lam, lam + 0.5), u, x, order)
 
 
 def lhs_lemma(

@@ -13,13 +13,13 @@ from gegenfun.errors import (
     ZeroConstantTerm,
 )
 from gegenfun.series import (
+    DTYPE,
     TruncatedSeries,
+    _shift_down,
     compose_vanishing,
     div,
-    from_constant,
     mixed_deviation,
     pow_alpha,
-    pow_rational,
     sqrt_shifted,
 )
 
@@ -32,11 +32,18 @@ def assert_coeffs(series, expected, tol=1e-12):
 
 
 def test_from_constant():
-    assert_coeffs(from_constant(1.0, 4), [1, 0, 0, 0, 0])
-    assert_coeffs(from_constant(0.0, 2), [0, 0, 0])
-    assert_coeffs(from_constant(2 - 3j, 0), [2 - 3j])
+    assert_coeffs(TruncatedSeries.from_constant(1.0, 4), [1, 0, 0, 0, 0])
+    assert_coeffs(TruncatedSeries.from_constant(0.0, 2), [0, 0, 0])
+    assert_coeffs(TruncatedSeries.from_constant(2 - 3j, 0), [2 - 3j])
     with pytest.raises(ValueError):
-        from_constant(1.0, -1)
+        TruncatedSeries.from_constant(1.0, -1)
+
+
+def test_from_polynomial_keeps_long_double():
+    c = np.longdouble(1) + np.finfo(np.longdouble).eps
+    s = TruncatedSeries.from_polynomial([c, 2.0], 3)
+    assert s.coeffs[0] == c
+    assert_coeffs(s, [c, 2, 0, 0])
 
 
 def test_add_sub_mul_examples():
@@ -81,7 +88,7 @@ def _exp_xi_series(x, order):
 def test_div_removable_singularity_sinh_ratio():
     # sinh(xi)/sinh(xi/3) -> 3 as xi -> 0; xi(t) vanishes at t = 0
     e = _exp_xi_series(2.0, 8)
-    e3 = pow_rational(e, 1, 3)
+    e3 = pow_alpha(e, 1 / 3)
     sinh_xi = (e - pow_alpha(e, -1.0)) * 0.5
     sinh_xi3 = (e3 - pow_alpha(e3, -1.0)) * 0.5
     ratio = div(sinh_xi, sinh_xi3)
@@ -95,12 +102,10 @@ def test_div_removable_singularity_sinh_ratio():
 
 
 def test_pow_rational_examples():
-    assert_coeffs(pow_rational(TruncatedSeries([1, 2, 1]), 1, 2), [1, 1, 0])
-    assert_coeffs(pow_rational(TruncatedSeries([1, 0]), -1, 1), [1, 0])
+    assert_coeffs(pow_alpha(TruncatedSeries([1, 2, 1]), 1 / 2), [1, 1, 0])
+    assert_coeffs(pow_alpha(TruncatedSeries([1, 0]), -1.0), [1, 0])
     with pytest.raises(ZeroConstantTerm):
-        pow_rational(TruncatedSeries([0, 1]), 1, 2)
-    with pytest.raises(ValueError):
-        pow_rational(TruncatedSeries([1, 1]), 1, 0)
+        pow_alpha(TruncatedSeries([0, 1]), 1 / 2)
 
 
 def _binomial_series_oracle(poly_tail, alpha, order):
@@ -121,7 +126,7 @@ def test_pow_rational_vs_binomial_oracle():
     # (1 - 4t + t^2)^(1/12) against the brute-force binomial expansion
     order = 6
     r2 = TruncatedSeries.from_polynomial([1.0, -4.0, 1.0], order)
-    got = pow_rational(r2, 1, 12)
+    got = pow_alpha(r2, 1 / 12)
     tail = np.zeros(order + 1, dtype=complex)
     tail[1], tail[2] = -4.0, 1.0
     expected = _binomial_series_oracle(tail, 1.0 / 12.0, order)
@@ -130,7 +135,7 @@ def test_pow_rational_vs_binomial_oracle():
 
 def test_pow_rational_round_trip():
     a = TruncatedSeries([2.0, 0.3, -0.1, 0.05, 0.01])
-    back = pow_rational(pow_rational(a, 3, 5), 5, 3)
+    back = pow_alpha(pow_alpha(a, 3 / 5), 5 / 3)
     assert mixed_deviation(a, back) <= 1e-14
 
 
@@ -179,8 +184,8 @@ def test_mul_reciprocal_identity():
         coeffs = rng.standard_normal(10) + 1j * rng.standard_normal(10)
         coeffs[0] = 1.0 + abs(coeffs[0])
         a = TruncatedSeries(coeffs)
-        prod = a * pow_rational(a, -1, 1)
-        assert mixed_deviation(prod, from_constant(1.0, prod.order)) <= 1e-10
+        prod = a * pow_alpha(a, -1.0)
+        assert mixed_deviation(prod, TruncatedSeries.from_constant(1.0, prod.order)) <= 1e-10
 
 
 def test_div_mul_round_trip():
@@ -224,3 +229,122 @@ def test_valuation_with_growing_coefficients():
     assert rinv.valuation() == 0
     t_times = TruncatedSeries.variable(24) * rinv
     assert t_times.valuation() == 1
+
+
+# -- bit-exact kernels against their textbook loops -----------------------------
+#
+# The kernels run on raw arrays, window the Horner accumulator and hoist loop
+# invariants; none of that may change a single coefficient bit.  The plain
+# loops below are the reference.
+
+
+def _ref_compose_vanishing(outer_coeffs, inner):
+    outer = np.asarray(outer_coeffs, dtype=DTYPE)
+    n = min(outer.size - 1, inner.order)
+    acc = TruncatedSeries.from_constant(outer[n], inner.order)
+    for k in range(n - 1, -1, -1):
+        acc = acc * inner + outer[k]
+    return acc
+
+
+def _ref_pow_alpha(a, alpha):
+    a0 = a.coeffs[0]
+    n = a.order
+    out = np.zeros(n + 1, dtype=DTYPE)
+    out[0] = a0 ** alpha
+    ac = a.coeffs
+    for m in range(1, n + 1):
+        k = np.arange(1, m + 1)
+        out[m] = np.dot(((alpha + 1) * k - m) * ac[1 : m + 1], out[m - 1 :: -1][:m]) / (
+            m * a0
+        )
+    return TruncatedSeries(out)
+
+
+def _ref_div(a, b):
+    vb = b.valuation()
+    order = min(a.order, b.order) - vb
+    an = _shift_down(a, vb).coeffs
+    bn = _shift_down(b, vb).coeffs
+    out = np.zeros(order + 1, dtype=DTYPE)
+    b0 = bn[0]
+    for n in range(order + 1):
+        acc = an[n] if n < an.size else 0.0
+        kmax = min(n, bn.size - 1)
+        if kmax >= 1:
+            acc = acc - np.dot(out[n - kmax : n][::-1], bn[1 : kmax + 1])
+        out[n] = acc / b0
+    return TruncatedSeries(out)
+
+
+def assert_bitwise(got, ref):
+    g, r = got.coeffs, ref.coeffs
+    assert g.dtype == r.dtype and g.shape == r.shape
+    assert np.array_equal(g, r)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(g)), np.signbit(part(r)))
+
+
+ORDERS = (0, 1, 2, 17, 66, 205)
+
+
+def _random_coeffs(rng, size, scale=0.3):
+    return scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+
+
+def _inner(rng, order, kind):
+    z = _random_coeffs(rng, order + 1)
+    if kind == "zero":
+        z[:] = 0.0
+    elif kind == "residue":
+        z[0] = 1e-17 - 2e-18j  # below the zero threshold, but not exactly zero
+    else:
+        z[:kind] = 0.0
+    return TruncatedSeries(z)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_compose_vanishing_bitwise_matches_horner(order):
+    rng = np.random.default_rng(order)
+    for kind in (1, 2, "residue", "zero"):
+        inner = _inner(rng, order, kind)
+        for outer_len in (max(1, order // 2), order + 9):
+            outer = _random_coeffs(rng, outer_len, 1.0) * 0.9 ** np.arange(outer_len)
+            outer[0] = complex(-0.0, -0.0)  # its sign survives only without a product
+            for o in (outer, outer.real.copy()):
+                assert_bitwise(compose_vanishing(o, inner), _ref_compose_vanishing(o, inner))
+
+
+def test_compose_vanishing_overflow_still_raises():
+    big = np.sqrt(np.finfo(np.longdouble).max)
+    inner = TruncatedSeries(np.array([0, big, big, 0, 0], dtype=DTYPE))
+    with pytest.raises(ValueError, match="non-finite coefficient"):
+        compose_vanishing([1.0] * 5, inner)
+    with pytest.raises(ValueError, match="non-finite coefficient"):
+        _ref_compose_vanishing([1.0] * 5, inner)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_pow_alpha_bitwise_matches_loop(order):
+    rng = np.random.default_rng(order)
+    c = _random_coeffs(rng, order + 1)
+    c[0] = 1.0 + 0.5j
+    for a in (TruncatedSeries(c), TruncatedSeries(c.real.copy())):
+        for alpha in (-0.5, 1 / 3, 0.3 - 0.7j, -2.25 + 1.5j):
+            assert_bitwise(pow_alpha(a, alpha), _ref_pow_alpha(a, alpha))
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_div_bitwise_matches_loop(order):
+    rng = np.random.default_rng(order)
+    for vb in range(min(2, order) + 1):
+        b_c = _random_coeffs(rng, order + 1)
+        b_c[:vb] = 0.0
+        b_c[vb] += 1.0
+        for va in sorted({vb, min(vb + 1, order)}):
+            a_c = _random_coeffs(rng, order + 4)
+            a_c[:va] = 0.0
+            a_c[va] += 2.0
+            a, b = TruncatedSeries(a_c), TruncatedSeries(b_c)
+            assert_bitwise(div(a, b), _ref_div(a, b))
+            assert_bitwise(div(b, b), _ref_div(b, b))
