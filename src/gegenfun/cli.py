@@ -10,6 +10,7 @@ An optional config file supplies defaults as `key = value` lines
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import catalog, legendre, poisson
@@ -37,6 +38,8 @@ def _read_config(path: str) -> dict[str, str]:
     return out
 
 
+# parse_args keeps no state in the parser, so one parser serves every call.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="gegenfun",

@@ -99,7 +99,7 @@ def gegenbauer_of_series(lam: float, n: int, z: TruncatedSeries) -> TruncatedSer
     mono = gegenbauer_monomial_coeffs(lam, n)
     acc = TruncatedSeries.from_constant(mono[n], z.order)
     for k in range(n - 1, -1, -1):
-        acc = acc * z + complex(mono[k])
+        acc = acc * z + mono[k]
     return acc
 
 

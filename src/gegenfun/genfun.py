@@ -283,9 +283,10 @@ def octahedral_example(
     sq = cmath.sqrt(complex(x) ** 2 - 1.0)
     e = TruncatedSeries.from_polynomial([1.0, -(x - sq)], wo) * pow_alpha(r2, -0.5)
     e3 = pow_alpha(e, 1.0 / 3.0)
+    e3_inv = pow_alpha(e3, -1.0)
     sinh_xi = (e - pow_alpha(e, -1.0)) * 0.5
-    sinh_xi3 = (e3 - pow_alpha(e3, -1.0)) * 0.5
-    cosh_xi3 = (e3 + pow_alpha(e3, -1.0)) * 0.5
+    sinh_xi3 = (e3 - e3_inv) * 0.5
+    cosh_xi3 = (e3 + e3_inv) * 0.5
     ratio = div(sinh_xi, sinh_xi3)  # 0/0 at t = 0, limit 3; order drops by 1
     bracket = cosh_xi3 + pow_alpha(ratio * (1.0 / 3.0), 0.5)
     rhs = 2.0**-0.25 * pow_alpha(r2, 1.0 / 24.0) * pow_alpha(bracket, 0.25)

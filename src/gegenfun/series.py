@@ -41,6 +41,13 @@ _SCALE_WINDOW = 6
 # large-coefficient arguments; elsewhere it silently aliases complex128.
 DTYPE = np.clongdouble
 _REAL_DTYPE = np.longdouble
+_ZERO = DTYPE(0)
+
+# div and pow_alpha sum only over the nonzero tail coefficients of their
+# operand when it has at most this many; denser operands take the array loop.
+# The scalar sum costs about as much per step as the array loop at about 8
+# nonzero coefficients for N = 16, and at more for longer series.
+_SPARSE_MAX = 6
 
 
 class TruncatedSeries:
@@ -184,6 +191,11 @@ def div(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     Requires valuation(b) <= valuation(a).  A common factor t**v with
     v = valuation(b) is divided out of both operands first; the result's
     order is min(order a, order b) - v.
+
+    A divisor whose shifted tail has at most _SPARSE_MAX nonzero
+    coefficients, such as a polynomial of degree d, takes O(d N) scalar work
+    in place of the O(N**2) array loop, bitwise identical to it as in
+    pow_alpha.
     """
     vb = b.valuation()
     if vb is None:
@@ -204,9 +216,21 @@ def div(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     out = np.zeros(order + 1, dtype=DTYPE)
     b0 = bn[0]
     out[0] = an[0] / b0
-    for n in range(1, order + 1):
-        out[n] = (an[n] - np.dot(out[n - 1 :: -1], bn[1 : n + 1])) / b0
-    return TruncatedSeries(out)
+    tail = bn[1 : order + 1]
+    if np.count_nonzero(tail) > _SPARSE_MAX:
+        for n in range(1, order + 1):
+            out[n] = (an[n] - np.dot(out[n - 1 :: -1], bn[1 : n + 1])) / b0
+        return TruncatedSeries(out)
+    terms = [(int(k) + 1, tail[k]) for k in np.flatnonzero(tail)]
+    vals = [out[0]]
+    for n, an_n in enumerate(an[1 : order + 1], 1):
+        acc = _ZERO
+        for k, c in terms:
+            if k > n:
+                break
+            acc = acc + vals[n - k] * c
+        vals.append((an_n - acc) / b0)
+    return TruncatedSeries(np.array(vals, dtype=DTYPE))
 
 
 def pow_alpha(a: TruncatedSeries, alpha: Scalar) -> TruncatedSeries:
@@ -219,6 +243,15 @@ def pow_alpha(a: TruncatedSeries, alpha: Scalar) -> TruncatedSeries:
     (alpha+1)k and the tail a_1..a_n are formed once; step m computes
     ((alpha+1)k - m) a_k from them with the operations and dtypes of the
     textbook loop, so every coefficient is bitwise identical to it.
+
+    A base with at most _SPARSE_MAX nonzero tail coefficients, such as a
+    polynomial of degree d, takes O(d n) scalar work instead: step m sums only
+    the terms whose a_k is nonzero, in ascending k, from a +0 start, with the
+    products the array loop forms.  A skipped term is a finite value times an
+    exact zero, and a sum that starts at +0 never becomes -0, so adding it
+    would change nothing: every coefficient is bitwise identical to the array
+    loop.  An overflow leaves an inf in the result on both paths, and its
+    construction raises ValueError.
     """
     a0 = a.coeffs[0]
     if abs(a0) <= a.zero_threshold():
@@ -226,11 +259,25 @@ def pow_alpha(a: TruncatedSeries, alpha: Scalar) -> TruncatedSeries:
     n = a.order
     out = np.zeros(n + 1, dtype=DTYPE)
     out[0] = a0 ** alpha
-    ak = (alpha + 1) * np.arange(1, n + 1)
+    steps = np.arange(1, n + 1)
+    ak = (alpha + 1) * steps
     ac = a.coeffs[1:]
+    if np.count_nonzero(ac) > _SPARSE_MAX:
+        for m in range(1, n + 1):
+            out[m] = np.dot((ak[:m] - m) * ac[:m], out[m - 1 :: -1]) / (m * a0)
+        return TruncatedSeries(out)
+    # Per nonzero ac[k], its weighted coefficient at every step m, formed as
+    # the array loop forms it: ((alpha+1)(k+1) - m) ac[k].
+    terms = [(int(k), list((ak[k] - steps) * ac[k])) for k in np.flatnonzero(ac)]
+    vals = [out[0]]
     for m in range(1, n + 1):
-        out[m] = np.dot((ak[:m] - m) * ac[:m], out[m - 1 :: -1]) / (m * a0)
-    return TruncatedSeries(out)
+        acc = _ZERO
+        for k, wc in terms:
+            if k >= m:
+                break
+            acc = acc + wc[m - 1] * vals[m - 1 - k]
+        vals.append(acc / (m * a0))
+    return TruncatedSeries(np.array(vals, dtype=DTYPE))
 
 
 def sqrt_shifted(a: TruncatedSeries) -> TruncatedSeries:

@@ -90,6 +90,19 @@ def test_cli_verify_csv_and_overrides(capsys):
     assert all("x=1.5" in line for line in lines[1:])
 
 
+def test_cli_repeated_calls_share_no_state(capsys):
+    assert main(["verify", "gf1.a", "--x", "1.5"]) == 0
+    capsys.readouterr()
+    assert main(["verify", "gf1.a"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert len(record["samples"]) == 7  # the full default grid, not the earlier override
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "gf1.a", "--order", "sixteen"])
+    assert exc.value.code == 2
+    assert main(["verify", "bogus.id"]) == 2
+    assert main(["verify", "gf1.a"]) == 0
+
+
 def test_cli_verify_multiple_ids_catalog_order(capsys):
     code = main(["verify", "alt.2", "alt.1", "--order", "10"])
     out = capsys.readouterr().out.strip().splitlines()

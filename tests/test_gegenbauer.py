@@ -82,6 +82,15 @@ def test_of_series_low_degrees():
     assert mixed_deviation(lin, 0.6 * z) <= 1e-18
 
 
+def test_of_series_keeps_long_double_coefficients():
+    # C_n(t) has the monomial coefficients of C_n, with no rounding to double
+    got = gegenbauer_of_series(1.0 / 3.0, 16, TruncatedSeries.variable(16)).coeffs
+    mono = gegenbauer_monomial_coeffs(1.0 / 3.0, 16)
+    assert np.array_equal(got, mono)
+    assert np.array_equal(np.signbit(got.real), np.signbit(mono.real))
+    assert np.array_equal(np.signbit(got.imag), np.signbit(mono.imag))
+
+
 def test_of_series_scalar_evaluation_oracle():
     # C_2 at the series (1 - 2t)/R, x = 2, against scalar evaluation at t = 0.05
     lam, x, order, t = 0.25, 2.0, 16, 0.05

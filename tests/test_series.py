@@ -15,6 +15,7 @@ from gegenfun.errors import (
 from gegenfun.series import (
     DTYPE,
     TruncatedSeries,
+    _SPARSE_MAX,
     _shift_down,
     compose_vanishing,
     div,
@@ -348,3 +349,56 @@ def test_div_bitwise_matches_loop(order):
             a, b = TruncatedSeries(a_c), TruncatedSeries(b_c)
             assert_bitwise(div(a, b), _ref_div(a, b))
             assert_bitwise(div(b, b), _ref_div(b, b))
+
+
+# Polynomial operands: the kernels sum only over the nonzero tail coefficients.
+SPARSE_POLYS = (
+    [1.5 - 0.5j],
+    [1.0, -0.6],
+    [1.0, -2 * 1.7, 1.0],
+    [1.0, 0.0, 0.0, -2 * 1.7, 0.0, 0.0, 1.0],
+    [1.0, -2 * 0.0, 1.0],  # a -0 middle coefficient, as R^2 at x = 0 has
+    [2.0 + 1j, 0.0, 0.25 - 0.5j, 0.0, 0.0, -0.125 + 0.0625j],
+)
+
+
+def _sparse(poly, order):
+    a = TruncatedSeries.from_polynomial(poly, order)
+    assert np.flatnonzero(a.coeffs[1:]).size <= _SPARSE_MAX
+    return a
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("poly", SPARSE_POLYS)
+def test_pow_alpha_sparse_bitwise_matches_loop(order, poly):
+    a = _sparse(poly, order)
+    for alpha in (-0.5, 1 / 3, 0.3 - 0.7j, -2.25 + 1.5j):
+        assert_bitwise(pow_alpha(a, alpha), _ref_pow_alpha(a, alpha))
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_div_sparse_bitwise_matches_loop(order):
+    rng = np.random.default_rng(order)
+    valuation_one = ([0.0, 1.0, -2 * 1.7, 1.0],) if order else ()
+    for poly in SPARSE_POLYS + valuation_one:
+        b = _sparse(poly, order)
+        a_c = _random_coeffs(rng, order + 4)
+        a_c[: b.valuation()] = 0.0
+        odd = a_c.copy()
+        odd[1::2] = complex(-0.0, -0.0)  # a -0 numerator meets the sum's +0 start
+        for a in (TruncatedSeries(a_c), TruncatedSeries(a_c.real.copy()), TruncatedSeries(odd), b):
+            assert_bitwise(div(a, b), _ref_div(a, b))
+
+
+def test_sparse_overflow_still_raises():
+    # past the zero-threshold window of the constant term; big**3 overflows
+    c = np.zeros(31, dtype=DTYPE)
+    c[0], c[8] = 1.0, np.longdouble(10) ** 2000
+    a = TruncatedSeries(c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for got in (pow_alpha, _ref_pow_alpha):
+            with pytest.raises(ValueError, match="non-finite coefficient"):
+                got(a, -1.0)
+        for got in (div, _ref_div):
+            with pytest.raises(ValueError, match="non-finite coefficient"):
+                got(TruncatedSeries.from_constant(1.0, a.order), a)
