@@ -12,6 +12,7 @@ All operations are pure: no instance is mutated after construction.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence, Union
 
 import numpy as np
@@ -48,6 +49,13 @@ _ZERO = DTYPE(0)
 # The scalar sum costs about as much per step as the array loop at about 8
 # nonzero coefficients for N = 16, and at more for longer series.
 _SPARSE_MAX = 6
+
+# The dense pow_alpha loop forms the weights ((alpha+1)k - m) a_k of this many
+# steps in one array operation; each temporary holds at most _BLOCK * N values.
+# At the catalog's longest series (N = 204) that is about 100 KiB, below the
+# 128 KiB from which glibc malloc maps fresh pages for each allocation: there
+# 32 steps ran about 30% slower than 16, while at N = 66 16 cost about 4% more.
+_BLOCK = 16
 
 
 class TruncatedSeries:
@@ -185,6 +193,17 @@ def _shift_up(a: TruncatedSeries, k: int) -> TruncatedSeries:
     return TruncatedSeries(np.concatenate([np.zeros(k, dtype=DTYPE), a.coeffs]))
 
 
+def _lattice(support: np.ndarray) -> int:
+    """gcd of the exponents k + 1 of the tail indices k in support (0 if empty)."""
+    return int(np.gcd.reduce(support + 1))
+
+
+def _off_lattice(n: int, g: int) -> np.ndarray:
+    """The steps 1..n that are not multiples of g."""
+    steps = np.arange(1, n + 1)
+    return steps[steps % g != 0]
+
+
 def div(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Series division with removable-singularity handling.
 
@@ -196,6 +215,16 @@ def div(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     coefficients, such as a polynomial of degree d, takes O(d N) scalar work
     in place of the O(N**2) array loop, bitwise identical to it as in
     pow_alpha.
+
+    A denser divisor runs the array loop on the lattice g Z, where g is the
+    gcd of the nonzero exponents n >= 1 of the shifted divisor and dividend.
+    Off the lattice every product of the loop has an exact-zero factor, so
+    its dot sum is +0, an[n] (a zero) minus +0 is an[n], and step n gives
+    an[n] / b0; those steps are formed in one array division.  A step on the lattice sums only the
+    lattice terms, in the loop's order; the terms it skips are exact zeros,
+    which leave a sum started at +0 unchanged.  So every coefficient is
+    bitwise identical to the array loop, which takes g times the steps and
+    about g**2 times the products.
     """
     vb = b.valuation()
     if vb is None:
@@ -217,11 +246,18 @@ def div(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     b0 = bn[0]
     out[0] = an[0] / b0
     tail = bn[1 : order + 1]
-    if np.count_nonzero(tail) > _SPARSE_MAX:
-        for n in range(1, order + 1):
-            out[n] = (an[n] - np.dot(out[n - 1 :: -1], bn[1 : n + 1])) / b0
+    support = np.flatnonzero(tail)
+    if support.size > _SPARSE_MAX:
+        g = _lattice(support)
+        if g > 1:
+            g = math.gcd(g, _lattice(np.flatnonzero(an[1 : order + 1])))
+        if g > 1:
+            off = _off_lattice(order, g)
+            out[off] = an[off] / b0
+        for n in range(g, order + 1, g):
+            out[n] = (an[n] - np.dot(out[n - g :: -g], bn[g : n + 1 : g])) / b0
         return TruncatedSeries(out)
-    terms = [(int(k) + 1, tail[k]) for k in np.flatnonzero(tail)]
+    terms = [(int(k) + 1, tail[k]) for k in support]
     vals = [out[0]]
     for n, an_n in enumerate(an[1 : order + 1], 1):
         acc = _ZERO
@@ -240,9 +276,17 @@ def pow_alpha(a: TruncatedSeries, alpha: Scalar) -> TruncatedSeries:
     ((alpha+1)k - n) a_k b_{n-k}, which needs a nonzero constant term.
 
     Cost: n steps of O(n) array work and no n x n temporary.  The weights
-    (alpha+1)k and the tail a_1..a_n are formed once; step m computes
-    ((alpha+1)k - m) a_k from them with the operations and dtypes of the
-    textbook loop, so every coefficient is bitwise identical to it.
+    (alpha+1)k are formed once, and ((alpha+1)k - m) a_k for a block of
+    _BLOCK steps m in one array operation, with the operations and dtypes of
+    the textbook loop, so every coefficient is bitwise identical to it.
+
+    The loop runs on the lattice g Z, where g is the gcd of the exponents
+    k >= 1 with a_k nonzero, as for a function of t**g.  Off the lattice every
+    product has an exact-zero factor (a_k, or b_{m-k} by induction), so the
+    loop's dot sum is +0 and step m gives +0 / (m a_0), formed in one array
+    division.  A step on the lattice sums only the lattice terms, in the
+    loop's order; the skipped terms are exact zeros, as below.  That runs
+    1 / g of the steps and about 1 / g**2 of the products.
 
     A base with at most _SPARSE_MAX nonzero tail coefficients, such as a
     polynomial of degree d, takes O(d n) scalar work instead: step m sums only
@@ -262,13 +306,24 @@ def pow_alpha(a: TruncatedSeries, alpha: Scalar) -> TruncatedSeries:
     steps = np.arange(1, n + 1)
     ak = (alpha + 1) * steps
     ac = a.coeffs[1:]
-    if np.count_nonzero(ac) > _SPARSE_MAX:
-        for m in range(1, n + 1):
-            out[m] = np.dot((ak[:m] - m) * ac[:m], out[m - 1 :: -1]) / (m * a0)
+    support = np.flatnonzero(ac)
+    if support.size > _SPARSE_MAX:
+        g = _lattice(support)
+        if g > 1:
+            off = _off_lattice(n, g)
+            out[off] = _ZERO / (off * a0)
+        akg, acg = ak[g - 1 :: g], ac[g - 1 :: g]
+        for first in range(g, n + 1, _BLOCK * g):
+            ms = np.arange(first, min(first + _BLOCK * g, n + 1), g)
+            c = ms[-1] // g
+            # Row j holds ((alpha+1)k - m) a_k for m = ms[j] and k = g, ..., c g.
+            w = (akg[:c] - ms[:, None]) * acg[:c]
+            for row, m in zip(w, ms.tolist()):
+                out[m] = np.dot(row[: m // g], out[m - g :: -g]) / (m * a0)
         return TruncatedSeries(out)
     # Per nonzero ac[k], its weighted coefficient at every step m, formed as
     # the array loop forms it: ((alpha+1)(k+1) - m) ac[k].
-    terms = [(int(k), list((ak[k] - steps) * ac[k])) for k in np.flatnonzero(ac)]
+    terms = [(int(k), list((ak[k] - steps) * ac[k])) for k in support]
     vals = [out[0]]
     for m in range(1, n + 1):
         acc = _ZERO
@@ -313,6 +368,22 @@ def compose_vanishing(
     coefficient outside the window is never formed, so it cannot overflow;
     an overflow inside it spreads through inf * 0 = nan to the result, whose
     construction raises ValueError.
+
+    Horner starts at the last nonzero outer[k] in the window, which skips the
+    trailing zeros of a terminating series.  Plain Horner reaches that step
+    with an accumulator of +0s (a convolution of zeros is a sum of zeros from
+    +0, and adding a zero keeps it +0) and adds outer[k] to +0: the addition
+    form used here, which turns a -0 part into +0.  Only when plain Horner
+    runs no step (n = 0) is outer[0] the result's constant term unchanged.
+
+    When every imaginary part of z and of the used outer coefficients is zero,
+    the loop runs on the real parts in _REAL_DTYPE, which costs under half
+    the complex convolution.  Bitwise: the complex dot sum's real part adds
+    ar*br - ai*bi, where ai*bi is an exact zero, so a nonzero ar*br is added
+    unchanged and a zero one leaves the sum from +0 unchanged, as in the real
+    sum of ar*br; its imaginary part sums zeros from +0 and is +0, and adding
+    outer[k], whose imaginary part is a zero, keeps it +0: the imaginary part
+    of the real lane's result.
     """
     thr = inner.zero_threshold()
     if abs(inner.coeffs[0]) > thr:
@@ -321,15 +392,21 @@ def compose_vanishing(
     z = inner.coeffs
     order = inner.order
     n = min(outer.size - 1, order)
+    if n == 0:
+        # No Horner step follows, so the zero signs of outer[0] survive.
+        return TruncatedSeries.from_constant(outer[0], order)
     nonzero = np.flatnonzero(z)
     v = int(nonzero[0]) if nonzero.size else order + 1
     k0 = n if v == 0 else min(n, order // v)
+    top = np.flatnonzero(outer[: k0 + 1])
+    k0 = int(top[-1]) if top.size else 0
+    outer = outer[: k0 + 1]
+    if not (z.imag.any() or outer.imag.any()):
+        z, outer = z.real.copy(), outer.real
     # The window only widens, so the buffer past it still holds zeros: they
     # pad the accumulator to the length of z[:width].
-    acc = np.zeros(order + 1, dtype=DTYPE)
-    # Plain Horner adds outer[k0] to its skipped products, which are +0 on
-    # this window; the addition turns a -0 outer[k0] into +0.
-    acc[0] = outer[n] if k0 == n else acc[0] + outer[k0]
+    acc = np.zeros(order + 1, dtype=z.dtype)
+    acc[0] += outer[k0]
     for k in range(k0 - 1, -1, -1):
         width = order - k * v + 1
         acc[:width] = np.convolve(acc[:width], z[:width])[:width]

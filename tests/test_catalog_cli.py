@@ -1,8 +1,11 @@
 """Catalog completeness, report schema stability, CLI commands and exit codes."""
 
+import hashlib
 import json
 import math
+import re
 
+import numpy as np
 import pytest
 
 from gegenfun import catalog
@@ -176,3 +179,37 @@ def test_cli_classify(capsys):
     assert main(["classify", "--lambda", "0.5", "--gamma", "0.3"]) == 0
     assert capsys.readouterr().out.strip() == "not algebraic"
     assert main(["classify"]) == 2
+
+
+# sha256 of `verify all` output with 80-bit long double, (JSONL with every
+# runtime_ms set to 0, CSV) per order: a kernel change that moves one bit of
+# one reported deviation changes them.
+VERIFY_ALL_SHA256 = {
+    16: (
+        "492e10543935289521fc69dc93e742792c87491a0cf60d0d7093b346ad47bd5d",
+        "9425d28456f2b1163def30477bffedf83ae5a84af9d4bf962b599de752dc67ae",
+    ),
+    32: (
+        "1927683a290f2a1fef2643cab9cee215c32312291ca55a64a61194dab9e3fc02",
+        "0d8ac41fa7a14a782078354b137a9eb9ca79cbb91fbe730cbd1de4f9d63aaaa1",
+    ),
+    64: (
+        "5c4963794ec469ff55bdc7ef37f75dddcee26ed3a7d212f1640ac63c1177aaca",
+        "7fafb9230129b959ab32512f5054d9e18f6d8afdfe8b01de8e48dc8b4906456f",
+    ),
+}
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant != 63, reason="digests of 80-bit long double output"
+)
+@pytest.mark.parametrize("order", sorted(VERIFY_ALL_SHA256))
+def test_verify_all_output_is_pinned(order, capsys):
+    digests = []
+    for fmt in ("jsonl", "csv"):
+        main(["verify", "all", "--order", str(order), "--format", fmt])
+        out = capsys.readouterr().out
+        if fmt == "jsonl":
+            out = re.sub(r'"runtime_ms": \d+', '"runtime_ms": 0', out)
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(digests) == VERIFY_ALL_SHA256[order]

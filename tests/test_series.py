@@ -15,7 +15,9 @@ from gegenfun.errors import (
 from gegenfun.series import (
     DTYPE,
     TruncatedSeries,
+    _BLOCK,
     _SPARSE_MAX,
+    _lattice,
     _shift_down,
     compose_vanishing,
     div,
@@ -316,13 +318,52 @@ def test_compose_vanishing_bitwise_matches_horner(order):
                 assert_bitwise(compose_vanishing(o, inner), _ref_compose_vanishing(o, inner))
 
 
+def _with_negative_zero_imag(c):
+    out = np.array(c, dtype=DTYPE)
+    out.imag[:] = -0.0
+    return out
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_compose_vanishing_real_lane_bitwise_matches_horner(order):
+    rng = np.random.default_rng(order)
+    for v in (0, 1, 2):
+        z = rng.standard_normal(order + 1) * 0.3
+        z[:v] = -0.0
+        z[v + 1 :: 3] = -0.0
+        if v == 0:
+            z[0] = -1e-17  # a roundoff residue: v = 0, the full width
+        outer = rng.standard_normal(order + 9) * 0.9 ** np.arange(order + 9)
+        outer[::4] = -0.0
+        for inner in (TruncatedSeries(z), TruncatedSeries(_with_negative_zero_imag(z))):
+            for o in (outer, _with_negative_zero_imag(outer), outer + 0.5j):
+                assert_bitwise(compose_vanishing(o, inner), _ref_compose_vanishing(o, inner))
+
+
+@pytest.mark.parametrize("order", ORDERS[:-1])  # the cubic reference is slow at 205
+def test_compose_vanishing_trailing_zeros_bitwise_matches_horner(order):
+    rng = np.random.default_rng(order)
+    for kind in (1, 2, "zero"):
+        z = _inner(rng, order, kind).coeffs
+        for inner in (TruncatedSeries(z), TruncatedSeries(z.real.copy())):
+            for top in sorted({-1, 0, order // 3, order}):  # the last nonzero index
+                for zero in (0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0)):
+                    outer = np.full(order + 3, zero, dtype=DTYPE)
+                    outer[: top + 1] = _random_coeffs(rng, top + 1, 1.0)
+                    for o in (outer, outer.real.copy()):
+                        got = compose_vanishing(o, inner)
+                        assert_bitwise(got, _ref_compose_vanishing(o, inner))
+
+
 def test_compose_vanishing_overflow_still_raises():
     big = np.sqrt(np.finfo(np.longdouble).max)
-    inner = TruncatedSeries(np.array([0, big, big, 0, 0], dtype=DTYPE))
-    with pytest.raises(ValueError, match="non-finite coefficient"):
-        compose_vanishing([1.0] * 5, inner)
-    with pytest.raises(ValueError, match="non-finite coefficient"):
-        _ref_compose_vanishing([1.0] * 5, inner)
+    for imag in (0.0, 1.0):  # the real lane, then the complex one
+        inner = TruncatedSeries(np.array([0, big, big * complex(1.0, imag), 0, 0], dtype=DTYPE))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite coefficient"):
+                compose_vanishing([1.0] * 5, inner)
+            with pytest.raises(ValueError, match="non-finite coefficient"):
+                _ref_compose_vanishing([1.0] * 5, inner)
 
 
 @pytest.mark.parametrize("order", ORDERS)
@@ -359,6 +400,7 @@ SPARSE_POLYS = (
     [1.0, 0.0, 0.0, -2 * 1.7, 0.0, 0.0, 1.0],
     [1.0, -2 * 0.0, 1.0],  # a -0 middle coefficient, as R^2 at x = 0 has
     [2.0 + 1j, 0.0, 0.25 - 0.5j, 0.0, 0.0, -0.125 + 0.0625j],
+    [1.0, 0.0, -0.5 + 0.25j, 0.0, 0.125, 0.0, -2.0],  # a function of t^2
 )
 
 
@@ -395,6 +437,81 @@ def test_sparse_overflow_still_raises():
     c = np.zeros(31, dtype=DTYPE)
     c[0], c[8] = 1.0, np.longdouble(10) ** 2000
     a = TruncatedSeries(c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for got in (pow_alpha, _ref_pow_alpha):
+            with pytest.raises(ValueError, match="non-finite coefficient"):
+                got(a, -1.0)
+        for got in (div, _ref_div):
+            with pytest.raises(ValueError, match="non-finite coefficient"):
+                got(TruncatedSeries.from_constant(1.0, a.order), a)
+
+
+# Dense operands on the lattice gZ: the kernels run only the steps that are
+# multiples of g, and each sum over the lattice terms alone.
+LATTICE_ORDERS = sorted(
+    set(ORDERS) | {g * _BLOCK + d for g in (1, 2, 3) for d in (-1, 0, 1)} | {4 * _BLOCK + 1}
+)
+
+
+def _lattice_coeffs(rng, order, g, residues=(0,), zero=0.0):
+    """Random coefficients at the exponents whose residue mod g is in residues."""
+    c = _random_coeffs(rng, order + 1)
+    c[~np.isin(np.arange(order + 1) % g, residues)] = zero
+    return c
+
+
+def test_lattice_is_gcd_of_exponents():
+    assert _lattice(np.array([2, 5, 8])) == 3  # tail indices of t^3, t^6, t^9
+    assert _lattice(np.array([1, 3, 5, 8])) == 1
+    assert _lattice(np.array([], dtype=np.intp)) == 0
+
+
+@pytest.mark.parametrize("order", LATTICE_ORDERS)
+def test_pow_alpha_lattice_bitwise_matches_loop(order):
+    rng = np.random.default_rng(order)
+    # (3, (0, 2)) mixes residues, so g = 1; (4, (0, 2)) lies on 2Z
+    for g, residues in ((2, (0,)), (3, (0,)), (3, (0, 2)), (4, (0, 2))):
+        for zero in (0.0, -0.0, complex(0.0, -0.0)):
+            c = _lattice_coeffs(rng, order, g, residues, zero)
+            for a0 in (1.0 + 0.5j, -2.0, complex(1.5, -0.0)):
+                c[0] = a0
+                for a in (TruncatedSeries(c), TruncatedSeries(c.real.copy())):
+                    for alpha in (-0.5, 1 / 3, 0.3 - 0.7j):
+                        assert_bitwise(pow_alpha(a, alpha), _ref_pow_alpha(a, alpha))
+
+
+@pytest.mark.parametrize("order", LATTICE_ORDERS)
+def test_div_lattice_bitwise_matches_loop(order):
+    rng = np.random.default_rng(order)
+    for g in (2, 3):
+        for vb in (0, 1):
+            if vb > order:
+                continue
+            b_c = np.zeros(order + 1, dtype=DTYPE)
+            b_c[vb:] = _lattice_coeffs(rng, order - vb, g)
+            b_c[vb] += 1.0
+            b = TruncatedSeries(b_c)
+            dividends = (
+                ((0,), 0.0),
+                ((0,), -0.0),
+                ((0,), complex(-0.0, -0.0)),
+                ((0, 1), 0.0),  # off the divisor's lattice: g = 1
+            )
+            for residues, zero in dividends:
+                a_c = np.zeros(order + 4, dtype=DTYPE)
+                a_c[vb:] = _lattice_coeffs(rng, order + 3 - vb, g, residues, zero)
+                for a in (TruncatedSeries(a_c), TruncatedSeries(a_c.real.copy()), b):
+                    assert_bitwise(div(a, b), _ref_div(a, b))
+
+
+@pytest.mark.parametrize("g", (1, 3))
+def test_dense_overflow_still_raises(g):
+    # big**3 overflows at step 27, past the zero-threshold window of a_0
+    rng = np.random.default_rng(g)
+    c = np.array(_lattice_coeffs(rng, 30, g), dtype=DTYPE)
+    c[0], c[9] = 1.0, np.longdouble(10) ** 2000
+    a = TruncatedSeries(c)
+    assert np.flatnonzero(a.coeffs[1:]).size > _SPARSE_MAX
     with np.errstate(over="ignore", invalid="ignore"):
         for got in (pow_alpha, _ref_pow_alpha):
             with pytest.raises(ValueError, match="non-finite coefficient"):
