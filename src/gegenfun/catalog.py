@@ -1,5 +1,16 @@
 """Identity catalog: stable ids, default sample grids, runners, and report records.
 
+Most identities are rows of one table, `CATALOG`. A row names a check, the
+point fields in output order, one override axis ("x" or "u") and its cases.
+A case holds one value per field, except that the axis field holds a tuple
+of default values. The runner samples each case once per axis value, taken
+from the `--x`/`--u` override when one is given, and reports the fields as
+the sample's point. The check takes the case's values in field order, then
+the order, and returns an (lhs, rhs) pair of series or a deviation. Rows
+reach `genfun` through the module at call time, so a wrapper bound to the
+module attribute sees every call. Entries without an axis are scalar checks:
+`check(order, tol)` returns the samples itself and ignores overrides.
+
 Default grids follow the validity regimes of the closed forms: hyperbolic
 substitutions sample x in {1.3, 1.5, 2, 5}, circular ones x in
 {-0.7, 0.3, 0.6, 0.9}, and the u-extensions sweep {0, 0.4, 1, 0.7+0.2i}.
@@ -25,7 +36,6 @@ from .errors import GegenfunError
 from .series import mixed_deviation
 
 HYPERBOLIC_X = (1.3, 1.5, 2.0, 5.0)
-CIRCULAR_X = (-0.7, 0.3, 0.6, 0.9)
 U_GRID = (0.0, 0.4, 1.0, 0.7 + 0.2j)
 
 DEFAULT_ORDER = 16
@@ -33,6 +43,8 @@ DEFAULT_TOL = 1e-8
 
 
 def _fmt(v) -> str:
+    if isinstance(v, tuple):
+        return ";".join(map(_fmt, v))
     if isinstance(v, complex):
         if v.imag == 0:
             return _fmt(v.real)
@@ -69,355 +81,39 @@ class IdentityReport:
 class IdentityEntry:
     id: str
     description: str
-    runner: Callable[[int, float, dict], list[SampleResult]]
+    check: Callable
+    fields: tuple[str, ...] = ()
+    axis: str | None = None
+    cases: tuple[tuple, ...] = ()
 
 
-def _pair_sample(point: dict[str, str], builder, order: int, tol: float) -> SampleResult:
+def _sample(point: dict[str, str], check, tol: float) -> SampleResult:
     try:
-        lhs, rhs = builder()
-        dev = mixed_deviation(lhs, rhs, min(order, lhs.order, rhs.order))
+        dev = float(check())
         return SampleResult(point, dev, dev <= tol)
     except GegenfunError as exc:
         return SampleResult(point, math.inf, False, f"{type(exc).__name__}: {exc}")
 
 
-def _value_sample(point: dict[str, str], fn, tol: float) -> SampleResult:
-    try:
-        dev = float(fn())
-        return SampleResult(point, dev, dev <= tol)
-    except GegenfunError as exc:
-        return SampleResult(point, math.inf, False, f"{type(exc).__name__}: {exc}")
+def _deviation(result, order: int) -> float:
+    if isinstance(result, tuple):
+        lhs, rhs = result
+        return mixed_deviation(lhs, rhs, min(order, lhs.order, rhs.order))
+    return result
 
 
-def _grid(overrides: dict, key: str, default: Sequence) -> Sequence:
-    vals = overrides.get(key)
-    return default if vals is None else vals
-
-
-# -- runner factories ------------------------------------------------------------
-
-
-def _run_first_gf(variant: str):
-    def run(order: int, tol: float, ov: dict) -> list[SampleResult]:
-        cases = [
-            (0.25, -1.0 / 12.0, (1.3, 2.0, 5.0)),
-            (1.0 / 6.0, 0.3, (0.3, 0.9)),
-            (2.0, 1.1, (1.5,)),
-            (0.5, 0.3, (-0.7,)),
-        ]
-        out = []
-        for lam, gamma, xs in cases:
-            for x in _grid(ov, "x", xs):
-                out.append(
-                    _pair_sample(
-                        _point(lam=lam, gamma=gamma, x=x),
-                        lambda: genfun.first_gf_pair(lam, gamma, x, order, variant),
-                        order,
-                        tol,
-                    )
-                )
-        return out
-
-    return run
-
-
-def _run_first_rewrite(variant: str):
-    def run(order: int, tol: float, ov: dict) -> list[SampleResult]:
-        if variant == "a":
-            cases = [
-                (-1.0 / 6.0, 0.25, (2.0, 0.6)),
-                (-0.25, 1.0 / 3.0, (1.5, 0.4)),
-                (0.0, 0.25, (2.0,)),
-                (1.8, 0.2, (1.3,)),
-            ]
-        else:
-            cases = [
-                (-0.25, 0.25, (0.5, 1.5)),
-                (-0.25, 1.0 / 3.0, (2.0,)),
-                (-0.25, 0.2, (0.5,)),
-            ]
-        out = []
-        for nu, mu, xs in cases:
-            for x in _grid(ov, "x", xs):
-                out.append(
-                    _pair_sample(
-                        _point(nu=nu, mu=mu, x=x),
-                        lambda: genfun.first_rewrite_pair(nu, mu, x, order, variant),
-                        order,
-                        tol,
-                    )
-                )
-        return out
-
-    return run
-
-
-def _run_miller(which: str):
-    def run(order: int, tol: float, ov: dict) -> list[SampleResult]:
-        cases = [
-            (0.25, 0, 1.5),
-            (0.25, 1, 2.0),
-            (0.25, 3, 1.5),
-            (1.0 / 6.0, 3, 0.3),
-            (1.5, 3, 0.6),
-        ]
-        out = []
-        for lam, n, x_default in cases:
-            for x in _grid(ov, "x", (x_default,)):
-                out.append(
-                    _pair_sample(
-                        _point(lam=lam, N=n, x=x),
-                        lambda: genfun.miller_identities(lam, n, x, order, which),
-                        order,
-                        tol,
-                    )
-                )
-        return out
-
-    return run
-
-
-def _run_alt(which: int):
-    def run(order: int, tol: float, ov: dict) -> list[SampleResult]:
-        out = []
-        for lam in (0.5, 0.25, 7.0 / 6.0, 1.0 / 6.0):
-            for x in _grid(ov, "x", (1.5, 0.3)):
-                out.append(
-                    _pair_sample(
-                        _point(lam=lam, x=x),
-                        lambda: genfun.alt_gf(lam, x, order, which),
-                        order,
-                        tol,
-                    )
-                )
-        return out
-
-    return run
-
-
-def _run_octa(order: int, tol: float, ov: dict) -> list[SampleResult]:
-    return [
-        _pair_sample(
-            _point(x=x),
-            lambda: genfun.octahedral_example(x, order),
-            order,
-            tol,
-        )
-        for x in _grid(ov, "x", HYPERBOLIC_X)
-    ]
-
-
-def _run_tetra(branch: str):
-    default = (1.5, 2.0) if branch == "hyperbolic" else (0.3, 0.6)
-
-    def run(order: int, tol: float, ov: dict) -> list[SampleResult]:
-        return [
-            _pair_sample(
-                _point(x=x, branch=branch),
-                lambda: genfun.tetrahedral_example(x, order, branch),
-                order,
-                tol,
-            )
-            for x in _grid(ov, "x", default)
-        ]
-
-    return run
-
-
-def _run_lemma(order: int, tol: float, ov: dict) -> list[SampleResult]:
-    cases = [
-        ((7.0 / 12.0,), (0.5,), 0.6, 1.5),
-        ((0.3, 0.2), (0.5, 0.75), 0.6, 1.5),
-        ((0.3,), (0.5,), 0.0, 2.0),
-        ((0.4, 0.7), (1.2, 0.9), 0.7 + 0.2j, 0.6),
-    ]
+def _run_row(entry: IdentityEntry, order: int, tol: float, values: Sequence | None) -> list[SampleResult]:
+    i = entry.fields.index(entry.axis)
     out = []
-    for nums, dens, u_default, x in cases:
-        for u in _grid(ov, "u", (u_default,)):
+    for case in entry.cases:
+        for v in case[i] if values is None else values:
+            args = case[:i] + (v,) + case[i + 1 :]
             out.append(
-                _pair_sample(
-                    _point(lam=0.25, c=";".join(map(_fmt, nums)), d=";".join(map(_fmt, dens)), u=u, x=x),
-                    lambda: genfun.lemma_key_check(0.25, nums, dens, u, x, order),
-                    order,
+                _sample(
+                    {k: _fmt(a) for k, a in zip(entry.fields, args)},
+                    lambda: _deviation(entry.check(*args, order), order),
                     tol,
                 )
-            )
-    return out
-
-
-def _run_extended_first(variant: str):
-    def run(order: int, tol: float, ov: dict) -> list[SampleResult]:
-        out = []
-        for lam, gamma, x in ((0.25, -1.0 / 12.0, 2.0), (1.0 / 6.0, 0.3, 0.6)):
-            for u in _grid(ov, "u", U_GRID):
-                out.append(
-                    _pair_sample(
-                        _point(lam=lam, gamma=gamma, u=u, x=x),
-                        lambda: genfun.extended_first_gf(lam, gamma, u, x, order, variant),
-                        order,
-                        tol,
-                    )
-                )
-        return out
-
-    return run
-
-
-def _run_extended_rewrite(variant: str):
-    def run(order: int, tol: float, ov: dict) -> list[SampleResult]:
-        if variant == "a":
-            cases = [
-                (-1.0 / 6.0, 0.25, 0.5, 2.0),
-                (0.0, 0.25, 0.4, 0.6),
-                (-0.25, 1.0 / 3.0, 1.0, 1.5),
-                (-1.0 / 6.0, 0.25, 0.7 + 0.2j, 2.0),
-            ]
-        else:
-            cases = [
-                (-0.25, 0.25, 0.4, 0.5),
-                (-0.25, 1.0 / 3.0, 1.0, 1.5),
-                (-0.25, 0.2, 0.7 + 0.2j, 0.6),
-            ]
-        out = []
-        for nu, mu, u_default, x in cases:
-            for u in _grid(ov, "u", (u_default,)):
-                out.append(
-                    _pair_sample(
-                        _point(nu=nu, mu=mu, u=u, x=x),
-                        lambda: genfun.extended_rewrite(nu, mu, u, x, order, variant),
-                        order,
-                        tol,
-                    )
-                )
-        return out
-
-    return run
-
-
-def _run_extended_miller(which: str):
-    def run(order: int, tol: float, ov: dict) -> list[SampleResult]:
-        cases = [
-            (1.0 / 6.0, 2, 0.3, 1.5),
-            (0.25, 0, 0.6, 2.0),
-            (0.25, 3, 1.0, 1.3),
-            (1.5, 1, 0.3, 0.6),
-        ]
-        out = []
-        for lam, n, u_default, x in cases:
-            for u in _grid(ov, "u", (u_default,)):
-                out.append(
-                    _pair_sample(
-                        _point(lam=lam, N=n, u=u, x=x),
-                        lambda: genfun.extended_miller(lam, n, u, x, order, which),
-                        order,
-                        tol,
-                    )
-                )
-        return out
-
-    return run
-
-
-def _run_second_gf(variant: str):
-    def run(order: int, tol: float, ov: dict) -> list[SampleResult]:
-        if variant == "a":
-            cases = [
-                (0.5, 0.3, 0.6),
-                (1.0 / 6.0, 0.5, 0.4),
-                (0.5, -2.0, 1.5),
-                (2.0, 1.1, 0.9),
-                (0.25, 7.0 / 12.0, 1.5),
-            ]
-        else:
-            cases = [
-                (0.5, 0.3, 0.3),
-                (1.0 / 6.0, 0.5, 0.45),
-                (2.0, 1.1, 0.6),
-                (0.5, -2.0, 0.3),
-                (0.25, 7.0 / 12.0, -0.7),
-            ]
-        out = []
-        for lam, gamma, x_default in cases:
-            for x in _grid(ov, "x", (x_default,)):
-                out.append(
-                    _pair_sample(
-                        _point(lam=lam, gamma=gamma, x=x),
-                        lambda: genfun.second_gf(lam, gamma, x, order, variant),
-                        order,
-                        tol,
-                    )
-                )
-        return out
-
-    return run
-
-
-def _run_extended_second(variant: str):
-    def run(order: int, tol: float, ov: dict) -> list[SampleResult]:
-        cases = [
-            (0.5, 0.3, 1.0, 0.6),
-            (0.25, 0.25 + 1.0 / 3.0, 0.4, 1.5),
-            (0.25, 0.3, 0.0, 1.5),
-            (1.0 / 6.0, 0.25, 0.7 + 0.2j, 0.6),
-        ]
-        out = []
-        for lam, gamma, u_default, x in cases:
-            for u in _grid(ov, "u", (u_default,)):
-                out.append(
-                    _pair_sample(
-                        _point(lam=lam, gamma=gamma, u=u, x=x),
-                        lambda: genfun.extended_second_gf(lam, gamma, u, x, order, variant),
-                        order,
-                        tol,
-                    )
-                )
-        return out
-
-    return run
-
-
-def _run_second_rewrite(variant: str):
-    def run(order: int, tol: float, ov: dict) -> list[SampleResult]:
-        if variant == "a":
-            cases = [(-1.0 / 6.0, 0.25, 0.5), (-0.2, 0.2, 0.5), (-0.25, 1.0 / 3.0, 1.5), (0.0, 0.25, 2.0)]
-        else:
-            cases = [(-0.25, 0.25, 0.5), (-0.25, 1.0 / 3.0, 0.3), (-0.25, 0.2, 0.6)]
-        out = []
-        for nu, mu, x_default in cases:
-            for x in _grid(ov, "x", (x_default,)):
-                out.append(
-                    _pair_sample(
-                        _point(nu=nu, mu=mu, x=x),
-                        lambda: genfun.second_rewrite(nu, mu, x, order, variant),
-                        order,
-                        tol,
-                    )
-                )
-        return out
-
-    return run
-
-
-def _run_subst_table(order: int, tol: float, ov: dict) -> list[SampleResult]:
-    rows = [
-        (1, 2.0, 0.1),
-        (2, 0.5, 0.1),
-        (3, 2.0, 0.1),
-        (4, 0.5, 0.1),
-        (5, 0.5, 0.2),
-        (6, 2.0, 0.2),
-        (7, 0.5, 0.1),
-        (8, 2.0, 0.1),
-    ]
-    out = []
-    for row, x_default, t in rows:
-        for x in _grid(ov, "x", (x_default,)):
-            def fn(row=row, x=x, t=t):
-                sr = genfun.substitution_table(x, t, row)
-                return sr.reconstruction_dev
-
-            out.append(
-                _value_sample(_point(row=row, x=x, t=t), fn, tol)
             )
     return out
 
@@ -434,7 +130,7 @@ _KERNEL_POINTS = (
 
 
 def _run_kernel(weighted: bool):
-    def run(order: int, tol: float, ov: dict) -> list[SampleResult]:
+    def run(order: int, tol: float) -> list[SampleResult]:
         out = []
         for lam in (0.25, 1.0 / 6.0):
             for theta, phi, t in _KERNEL_POINTS:
@@ -448,7 +144,7 @@ def _run_kernel(weighted: bool):
 
                 zt, _ = poisson.kernel_arguments(poisson.KernelArgs(lam, theta, phi, t))
                 out.append(
-                    _value_sample(
+                    _sample(
                         _point(lam=lam, theta=theta, phi=phi, t=t, arg=round(zt, 4)), fn, tol
                     )
                 )
@@ -457,12 +153,12 @@ def _run_kernel(weighted: bool):
     return run
 
 
-def _run_operator(order: int, tol: float, ov: dict) -> list[SampleResult]:
+def _run_operator(order: int, tol: float) -> list[SampleResult]:
     out = []
     for lam in (0.25, 1.0 / 6.0):
         for theta, phi in ((1.0, 1.7), (0.8, 2.1)):
             out.append(
-                _value_sample(
+                _sample(
                     _point(lam=lam, theta=theta, phi=phi, order=order),
                     lambda: poisson.operator_relation_check(lam, theta, phi, order),
                     tol,
@@ -471,7 +167,7 @@ def _run_operator(order: int, tol: float, ov: dict) -> list[SampleResult]:
     return out
 
 
-def _run_quarter_kernel(order: int, tol: float, ov: dict) -> list[SampleResult]:
+def _run_quarter_kernel(order: int, tol: float) -> list[SampleResult]:
     pts = ((math.pi / 2, math.pi / 2, -0.15), (1.2, 2.0, -0.2), (1.0, 1.3, -0.1))
     out = []
     for theta, phi, t in pts:
@@ -481,22 +177,22 @@ def _run_quarter_kernel(order: int, tol: float, ov: dict) -> list[SampleResult]:
             b = poisson.poisson_kernel(args, "tilde")
             return abs(a - b) / max(1.0, abs(b))
 
-        out.append(_value_sample(_point(theta=theta, phi=phi, t=t), fn, tol))
+        out.append(_sample(_point(theta=theta, phi=phi, t=t), fn, tol))
     return out
 
 
-def _run_elliptic_quarter(order: int, tol: float, ov: dict) -> list[SampleResult]:
+def _run_elliptic_quarter(order: int, tol: float) -> list[SampleResult]:
     out = []
     for w in (1e-6, 0.1, 0.25, 0.49):
         def fn(w=w):
             a, b = poisson.elliptic_quarter_lhs(w), poisson.elliptic_quarter_rhs(w)
             return abs(a - b) / max(1.0, abs(b))
 
-        out.append(_value_sample(_point(w=w), fn, tol))
+        out.append(_sample(_point(w=w), fn, tol))
     return out
 
 
-def _run_k_2f1(order: int, tol: float, ov: dict) -> list[SampleResult]:
+def _run_k_2f1(order: int, tol: float) -> list[SampleResult]:
     from .hypergeometric import gauss_2f1_scalar
 
     out = []
@@ -506,11 +202,11 @@ def _run_k_2f1(order: int, tol: float, ov: dict) -> list[SampleResult]:
             b = gauss_2f1_scalar(0.5, 0.5, 1.0, m).real
             return abs(a - b) / max(1.0, abs(b))
 
-        out.append(_value_sample(_point(m=m), fn, tol))
+        out.append(_sample(_point(m=m), fn, tol))
     return out
 
 
-def _run_legendre_relation(order: int, tol: float, ov: dict) -> list[SampleResult]:
+def _run_legendre_relation(order: int, tol: float) -> list[SampleResult]:
     out = []
     for m in (0.1, 0.3, 0.5):
         def fn(m=m):
@@ -518,7 +214,7 @@ def _run_legendre_relation(order: int, tol: float, ov: dict) -> list[SampleResul
             val = e(m) * k(1 - m) + e(1 - m) * k(m) - k(m) * k(1 - m)
             return abs(val - math.pi / 2.0)
 
-        out.append(_value_sample(_point(m=m), fn, tol))
+        out.append(_sample(_point(m=m), fn, tol))
     return out
 
 
@@ -586,9 +282,9 @@ def _closed_form_grids():
         )
 
 
-def _run_closed_forms(order: int, tol: float, ov: dict) -> list[SampleResult]:
+def _run_closed_forms(order: int, tol: float) -> list[SampleResult]:
     return [
-        _value_sample(_point(case=name, grid="10-point"), fn, tol)
+        _sample(_point(case=name, grid="10-point"), fn, tol)
         for name, fn in _closed_form_grids()
     ]
 
@@ -596,32 +292,116 @@ def _run_closed_forms(order: int, tol: float, ov: dict) -> list[SampleResult]:
 # -- catalog ----------------------------------------------------------------------
 
 
+_FIRST_GF_CASES = (
+    (0.25, -1.0 / 12.0, (1.3, 2.0, 5.0)),
+    (1.0 / 6.0, 0.3, (0.3, 0.9)),
+    (2.0, 1.1, (1.5,)),
+    (0.5, 0.3, (-0.7,)),
+)
+_MILLER_CASES = (
+    (0.25, 0, (1.5,)),
+    (0.25, 1, (2.0,)),
+    (0.25, 3, (1.5,)),
+    (1.0 / 6.0, 3, (0.3,)),
+    (1.5, 3, (0.6,)),
+)
+_ALT_CASES = tuple((lam, (1.5, 0.3)) for lam in (0.5, 0.25, 7.0 / 6.0, 1.0 / 6.0))
+_EXTENDED_FIRST_CASES = ((0.25, -1.0 / 12.0, U_GRID, 2.0), (1.0 / 6.0, 0.3, U_GRID, 0.6))
+_EXTENDED_MILLER_CASES = (
+    (1.0 / 6.0, 2, (0.3,), 1.5),
+    (0.25, 0, (0.6,), 2.0),
+    (0.25, 3, (1.0,), 1.3),
+    (1.5, 1, (0.3,), 0.6),
+)
+_EXTENDED_SECOND_CASES = (
+    (0.5, 0.3, (1.0,), 0.6),
+    (0.25, 0.25 + 1.0 / 3.0, (0.4,), 1.5),
+    (0.25, 0.3, (0.0,), 1.5),
+    (1.0 / 6.0, 0.25, (0.7 + 0.2j,), 0.6),
+)
+
 CATALOG: tuple[IdentityEntry, ...] = (
-    IdentityEntry("gf1.a", "first generating function, square-root argument form", _run_first_gf("a")),
-    IdentityEntry("gf1.b", "first generating function, quadratic-transformed form", _run_first_gf("b")),
-    IdentityEntry("gf1.rewrite.a", "first family rewritten via the analytic Legendre combination, z=(1-xt)/R", _run_first_rewrite("a")),
-    IdentityEntry("gf1.rewrite.b", "first family rewritten at fixed degree -1/4, z=2(R/(1-xt))^2-1", _run_first_rewrite("b")),
-    IdentityEntry("miller.g1", "terminating finite-sum identity, R^N prefactor", _run_miller("g1")),
-    IdentityEntry("miller.g2", "companion sum with R^(-2 lam - N) prefactor", _run_miller("g2")),
-    IdentityEntry("alt.1", "alternative generating function with R^(-1) prefactor", _run_alt(1)),
-    IdentityEntry("alt.2", "alternative generating function without the R^(-1) prefactor", _run_alt(2)),
-    IdentityEntry("octa.c14", "explicit radical form of the quarter-parameter family (octahedral)", _run_octa),
-    IdentityEntry("tetra.c16.hyp", "explicit radical form of the sixth-parameter family, hyperbolic branch", _run_tetra("hyperbolic")),
-    IdentityEntry("tetra.c16.circ", "explicit radical form of the sixth-parameter family, circular branch", _run_tetra("circular")),
-    IdentityEntry("lemma.key", "series-rearrangement identity behind the u-extensions", _run_lemma),
-    IdentityEntry("gf1x.a", "u-extended first generating function, square-root form", _run_extended_first("a")),
-    IdentityEntry("gf1x.b", "u-extended first generating function, quadratic-transformed form", _run_extended_first("b")),
-    IdentityEntry("gf1x.rewrite.a", "u-extended Legendre rewrite, z=Q/(UR)", _run_extended_rewrite("a")),
-    IdentityEntry("gf1x.rewrite.b", "u-extended Legendre rewrite, z=2(UR/Q)^2-1", _run_extended_rewrite("b")),
-    IdentityEntry("millerx.plus", "u-extended finite-sum identity, U^(-2 lam - N) R^N", _run_extended_miller("plus")),
-    IdentityEntry("millerx.minus", "u-extended companion sum, U^N R^(-2 lam - N)", _run_extended_miller("minus")),
-    IdentityEntry("gf2.a", "second generating function, product of two 2F1 factors", _run_second_gf("a")),
-    IdentityEntry("gf2.b", "second generating function, quadratic-transformed product", _run_second_gf("b")),
-    IdentityEntry("gf2x.a", "u-extended second generating function, product form", _run_extended_second("a")),
-    IdentityEntry("gf2x.b", "u-extended second generating function, transformed product", _run_extended_second("b")),
-    IdentityEntry("gf2.rewrite.a", "second family through analytic Legendre factors at R±t", _run_second_rewrite("a")),
-    IdentityEntry("gf2.rewrite.b", "second family at fixed degree -1/4, arguments 2/(R∓t)^2-1", _run_second_rewrite("b")),
-    IdentityEntry("subst.table", "exponential substitutions reconstruct both Legendre arguments", _run_subst_table),
+    IdentityEntry("gf1.a", "first generating function, square-root argument form",
+        lambda *a: genfun.first_gf_pair(*a, "a"), ("lam", "gamma", "x"), "x", _FIRST_GF_CASES),
+    IdentityEntry("gf1.b", "first generating function, quadratic-transformed form",
+        lambda *a: genfun.first_gf_pair(*a, "b"), ("lam", "gamma", "x"), "x", _FIRST_GF_CASES),
+    IdentityEntry("gf1.rewrite.a", "first family rewritten via the analytic Legendre combination, z=(1-xt)/R",
+        lambda *a: genfun.first_rewrite_pair(*a, "a"), ("nu", "mu", "x"), "x",
+        ((-1.0 / 6.0, 0.25, (2.0, 0.6)), (-0.25, 1.0 / 3.0, (1.5, 0.4)), (0.0, 0.25, (2.0,)), (1.8, 0.2, (1.3,)))),
+    IdentityEntry("gf1.rewrite.b", "first family rewritten at fixed degree -1/4, z=2(R/(1-xt))^2-1",
+        lambda *a: genfun.first_rewrite_pair(*a, "b"), ("nu", "mu", "x"), "x",
+        ((-0.25, 0.25, (0.5, 1.5)), (-0.25, 1.0 / 3.0, (2.0,)), (-0.25, 0.2, (0.5,)))),
+    IdentityEntry("miller.g1", "terminating finite-sum identity, R^N prefactor",
+        lambda *a: genfun.miller_identities(*a, "g1"), ("lam", "N", "x"), "x", _MILLER_CASES),
+    IdentityEntry("miller.g2", "companion sum with R^(-2 lam - N) prefactor",
+        lambda *a: genfun.miller_identities(*a, "g2"), ("lam", "N", "x"), "x", _MILLER_CASES),
+    IdentityEntry("alt.1", "alternative generating function with R^(-1) prefactor",
+        lambda *a: genfun.alt_gf(*a, 1), ("lam", "x"), "x", _ALT_CASES),
+    IdentityEntry("alt.2", "alternative generating function without the R^(-1) prefactor",
+        lambda *a: genfun.alt_gf(*a, 2), ("lam", "x"), "x", _ALT_CASES),
+    IdentityEntry("octa.c14", "explicit radical form of the quarter-parameter family (octahedral)",
+        lambda *a: genfun.octahedral_example(*a), ("x",), "x", ((HYPERBOLIC_X,),)),
+    IdentityEntry("tetra.c16.hyp", "explicit radical form of the sixth-parameter family, hyperbolic branch",
+        lambda x, branch, order: genfun.tetrahedral_example(x, order, branch), ("x", "branch"), "x",
+        (((1.5, 2.0), "hyperbolic"),)),
+    IdentityEntry("tetra.c16.circ", "explicit radical form of the sixth-parameter family, circular branch",
+        lambda x, branch, order: genfun.tetrahedral_example(x, order, branch), ("x", "branch"), "x",
+        (((0.3, 0.6), "circular"),)),
+    IdentityEntry("lemma.key", "series-rearrangement identity behind the u-extensions",
+        lambda *a: genfun.lemma_key_check(*a), ("lam", "c", "d", "u", "x"), "u", (
+            (0.25, (7.0 / 12.0,), (0.5,), (0.6,), 1.5),
+            (0.25, (0.3, 0.2), (0.5, 0.75), (0.6,), 1.5),
+            (0.25, (0.3,), (0.5,), (0.0,), 2.0),
+            (0.25, (0.4, 0.7), (1.2, 0.9), (0.7 + 0.2j,), 0.6),
+        )),
+    IdentityEntry("gf1x.a", "u-extended first generating function, square-root form",
+        lambda *a: genfun.extended_first_gf(*a, "a"), ("lam", "gamma", "u", "x"), "u", _EXTENDED_FIRST_CASES),
+    IdentityEntry("gf1x.b", "u-extended first generating function, quadratic-transformed form",
+        lambda *a: genfun.extended_first_gf(*a, "b"), ("lam", "gamma", "u", "x"), "u", _EXTENDED_FIRST_CASES),
+    IdentityEntry("gf1x.rewrite.a", "u-extended Legendre rewrite, z=Q/(UR)",
+        lambda *a: genfun.extended_rewrite(*a, "a"), ("nu", "mu", "u", "x"), "u", (
+            (-1.0 / 6.0, 0.25, (0.5,), 2.0),
+            (0.0, 0.25, (0.4,), 0.6),
+            (-0.25, 1.0 / 3.0, (1.0,), 1.5),
+            (-1.0 / 6.0, 0.25, (0.7 + 0.2j,), 2.0),
+        )),
+    IdentityEntry("gf1x.rewrite.b", "u-extended Legendre rewrite, z=2(UR/Q)^2-1",
+        lambda *a: genfun.extended_rewrite(*a, "b"), ("nu", "mu", "u", "x"), "u",
+        ((-0.25, 0.25, (0.4,), 0.5), (-0.25, 1.0 / 3.0, (1.0,), 1.5), (-0.25, 0.2, (0.7 + 0.2j,), 0.6))),
+    IdentityEntry("millerx.plus", "u-extended finite-sum identity, U^(-2 lam - N) R^N",
+        lambda *a: genfun.extended_miller(*a, "plus"), ("lam", "N", "u", "x"), "u", _EXTENDED_MILLER_CASES),
+    IdentityEntry("millerx.minus", "u-extended companion sum, U^N R^(-2 lam - N)",
+        lambda *a: genfun.extended_miller(*a, "minus"), ("lam", "N", "u", "x"), "u", _EXTENDED_MILLER_CASES),
+    IdentityEntry("gf2.a", "second generating function, product of two 2F1 factors",
+        lambda *a: genfun.second_gf(*a, "a"), ("lam", "gamma", "x"), "x", (
+            (0.5, 0.3, (0.6,)),
+            (1.0 / 6.0, 0.5, (0.4,)),
+            (0.5, -2.0, (1.5,)),
+            (2.0, 1.1, (0.9,)),
+            (0.25, 7.0 / 12.0, (1.5,)),
+        )),
+    IdentityEntry("gf2.b", "second generating function, quadratic-transformed product",
+        lambda *a: genfun.second_gf(*a, "b"), ("lam", "gamma", "x"), "x", (
+            (0.5, 0.3, (0.3,)),
+            (1.0 / 6.0, 0.5, (0.45,)),
+            (2.0, 1.1, (0.6,)),
+            (0.5, -2.0, (0.3,)),
+            (0.25, 7.0 / 12.0, (-0.7,)),
+        )),
+    IdentityEntry("gf2x.a", "u-extended second generating function, product form",
+        lambda *a: genfun.extended_second_gf(*a, "a"), ("lam", "gamma", "u", "x"), "u", _EXTENDED_SECOND_CASES),
+    IdentityEntry("gf2x.b", "u-extended second generating function, transformed product",
+        lambda *a: genfun.extended_second_gf(*a, "b"), ("lam", "gamma", "u", "x"), "u", _EXTENDED_SECOND_CASES),
+    IdentityEntry("gf2.rewrite.a", "second family through analytic Legendre factors at R±t",
+        lambda *a: genfun.second_rewrite(*a, "a"), ("nu", "mu", "x"), "x",
+        ((-1.0 / 6.0, 0.25, (0.5,)), (-0.2, 0.2, (0.5,)), (-0.25, 1.0 / 3.0, (1.5,)), (0.0, 0.25, (2.0,)))),
+    IdentityEntry("gf2.rewrite.b", "second family at fixed degree -1/4, arguments 2/(R∓t)^2-1",
+        lambda *a: genfun.second_rewrite(*a, "b"), ("nu", "mu", "x"), "x",
+        ((-0.25, 0.25, (0.5,)), (-0.25, 1.0 / 3.0, (0.3,)), (-0.25, 0.2, (0.6,)))),
+    IdentityEntry("subst.table", "exponential substitutions reconstruct both Legendre arguments",
+        lambda row, x, t, order: genfun.substitution_table(x, t, row).reconstruction_dev, ("row", "x", "t"), "x",
+        ((1, (2.0,), 0.1), (2, (0.5,), 0.1), (3, (2.0,), 0.1), (4, (0.5,), 0.1),
+         (5, (0.5,), 0.2), (6, (2.0,), 0.2), (7, (0.5,), 0.1), (8, (2.0,), 0.1))),
     IdentityEntry("legendre.closedforms", "closed forms agree with the hypergeometric definition on 10-point grids", _run_closed_forms),
     IdentityEntry("poisson.kernel", "Poisson kernel closed form vs bilinear sum and variant agreement", _run_kernel(True)),
     IdentityEntry("poisson.companion", "companion kernel closed form vs bilinear sum and variant agreement", _run_kernel(False)),
@@ -639,28 +419,23 @@ def identity_ids() -> tuple[str, ...]:
     return tuple(e.id for e in CATALOG)
 
 
-def get_entry(identity_id: str):
-    return _BY_ID.get(identity_id)
-
-
 def run_identity(
     identity_id: str,
     order: int = DEFAULT_ORDER,
     tol: float = DEFAULT_TOL,
     overrides: dict | None = None,
 ) -> IdentityReport:
-    entry = _BY_ID.get(identity_id)
-    if entry is None:
-        raise KeyError(identity_id)
+    entry = _BY_ID[identity_id]
+    values = (overrides or {}).get(entry.axis)
     t0 = time.perf_counter()
-    samples = entry.runner(order, tol, overrides or {})
+    if entry.axis is None:
+        samples = entry.check(order, tol)
+    else:
+        samples = _run_row(entry, order, tol, values)
     ms = int(round((time.perf_counter() - t0) * 1000.0))
     params = {"tol": _fmt(tol)}
-    ov = overrides or {}
-    if ov.get("x") is not None:
-        params["x"] = ",".join(_fmt(v) for v in ov["x"])
-    if ov.get("u") is not None:
-        params["u"] = ",".join(_fmt(v) for v in ov["u"])
+    if values is not None:
+        params[entry.axis] = ",".join(_fmt(v) for v in values)
     return IdentityReport(
         identity_id=identity_id,
         params=params,

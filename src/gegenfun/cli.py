@@ -112,7 +112,7 @@ def _cmd_verify(args) -> int:
     if wanted == ["all"]:
         ids = list(catalog.identity_ids())
     else:
-        unknown = [i for i in wanted if catalog.get_entry(i) is None]
+        unknown = [i for i in wanted if i not in catalog.identity_ids()]
         if unknown:
             print(f"error: unknown identity id(s): {', '.join(unknown)}", file=sys.stderr)
             return 2

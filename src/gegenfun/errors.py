@@ -67,7 +67,3 @@ class RuleNotApplicable(GegenfunError):
 
 class ConsistencyError(GegenfunError):
     """Two internal construction paths for the same object disagree."""
-
-
-class UnknownIdentity(GegenfunError):
-    """Identity id not present in the catalog."""

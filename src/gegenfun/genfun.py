@@ -188,6 +188,8 @@ def rhs_first_gf_b(lam: float, gamma: Scalar, x: Scalar, order: int) -> Truncate
 def first_gf_pair(
     lam: float, gamma: Scalar, x: Scalar, order: int, variant: str = "a"
 ) -> tuple[TruncatedSeries, TruncatedSeries]:
+    if variant not in ("a", "b"):
+        raise ValueError(f"unknown variant {variant!r}")
     lhs = lhs_first_gf(lam, gamma, x, order)
     rhs = rhs_first_gf_a(lam, gamma, x, order) if variant == "a" else rhs_first_gf_b(
         lam, gamma, x, order
@@ -257,6 +259,8 @@ def alt_gf(
     """Alternative generating function ((1+R-xt)/2)**(1/2-lam), with (which=1)
     or without (which=2) the extra R**(-1)."""
     check_lambda(lam)
+    if which not in (1, 2):
+        raise ValueError(f"unknown which {which!r}")
     wo = order + 2
     r2 = _r2(x, wo)
     r = pow_alpha(r2, 0.5)

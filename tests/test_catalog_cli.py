@@ -1,6 +1,8 @@
 """Catalog completeness, report schema stability, CLI commands and exit codes."""
 
+import csv
 import hashlib
+import io
 import json
 import math
 import re
@@ -104,6 +106,23 @@ def test_cli_repeated_calls_share_no_state(capsys):
     assert exc.value.code == 2
     assert main(["verify", "bogus.id"]) == 2
     assert main(["verify", "gf1.a"]) == 0
+
+
+def test_cli_override_applies_only_on_the_identity_axis(capsys):
+    # gf1x.a sweeps u: the override replaces the sweep of each of its 2 cases
+    main(["verify", "gf1x.a", "--u", "0.5"])
+    record = json.loads(capsys.readouterr().out)
+    assert [s["point"]["u"] for s in record["samples"]] == ["0.5", "0.5"]
+    assert record["params"]["u"] == "0.5"
+    # lemma.key sweeps u, so an x override is neither applied nor recorded
+    main(["verify", "lemma.key", "--x", "3"])
+    record = json.loads(capsys.readouterr().out)
+    assert [s["point"]["x"] for s in record["samples"]] == ["1.5", "1.5", "2", "0.6"]
+    assert "x" not in record["params"]
+    # gf1.a sweeps x, so the override is recorded
+    main(["verify", "gf1.a", "--x", "1.5"])
+    record = json.loads(capsys.readouterr().out)
+    assert record["params"]["x"] == "1.5"
 
 
 def test_cli_verify_multiple_ids_catalog_order(capsys):
@@ -213,3 +232,18 @@ def test_verify_all_output_is_pinned(order, capsys):
             out = re.sub(r'"runtime_ms": \d+', '"runtime_ms": 0', out)
         digests.append(hashlib.sha256(out.encode()).hexdigest())
     assert tuple(digests) == VERIFY_ALL_SHA256[order]
+
+
+# sha256 of the identity, point and order columns of `verify all --order 16
+# --format csv`: these hold no computed deviation, so the digest is the same
+# on every platform. A reordered point field or a lost case changes it.
+SAMPLE_GRID_SHA256 = "44d9ffc9b4ea959fc2fe3569480af2f0db73fce8eb24acb4ea5a045a862f7a56"
+
+
+def test_verify_all_sample_grid_is_pinned(capsys):
+    main(["verify", "all", "--order", "16", "--format", "csv"])
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0][:3] == ["identity", "point", "order"]
+    assert len(rows) - 1 == 174
+    text = "".join(",".join(row[:3]) + "\n" for row in rows[1:])
+    assert hashlib.sha256(text.encode()).hexdigest() == SAMPLE_GRID_SHA256

@@ -28,6 +28,11 @@ def test_first_gf_examples():
     assert abs(lhs.coefficient(0) - 1.0) <= 1e-15
 
 
+def test_first_gf_pair_rejects_unknown_variant():
+    with pytest.raises(ValueError, match="unknown variant 'c'"):
+        gf.first_gf_pair(0.25, -1.0 / 12.0, 2.0, 16, "c")
+
+
 def test_first_gf_terminating_weights():
     # gamma = -1: the weight (gamma)_n kills every n >= 2 exactly
     lhs = gf.lhs_first_gf(0.25, -1.0, 1.5, 12)
@@ -74,6 +79,11 @@ def test_alt_gf():
     # lam = 1/2 with the R^(-1) prefactor reduces to the Legendre ordinary GF
     lhs, rhs = gf.alt_gf(0.5, 1.5, 16, 1)
     assert mixed_deviation(rhs, ordinary_gf_series(0.5, 1.5, 16)) <= 1e-12
+
+
+def test_alt_gf_rejects_unknown_which():
+    with pytest.raises(ValueError, match="unknown which 3"):
+        gf.alt_gf(0.25, 2.0, 16, 3)
 
 
 # -- radical examples ----------------------------------------------------------------
