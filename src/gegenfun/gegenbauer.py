@@ -103,17 +103,6 @@ def gegenbauer_of_series(lam: float, n: int, z: TruncatedSeries) -> TruncatedSer
     return acc
 
 
-def gegenbauer_series_family(lam: float, n_max: int, z: TruncatedSeries) -> list[TruncatedSeries]:
-    """C_0(z) .. C_{n_max}(z) for a series argument, by the recurrence on series."""
-    out = [TruncatedSeries.from_constant(1.0, z.order)]
-    if n_max >= 1:
-        out.append(2.0 * lam * z)
-    for n in range(2, n_max + 1):
-        nxt = (2.0 * (n + lam - 1.0)) * (z * out[n - 1]) - (n + 2.0 * lam - 2.0) * out[n - 2]
-        out.append(nxt * (1.0 / n))
-    return out
-
-
 def gegenbauer_weighted_series(
     lam: float, x: Scalar, order: int, weights: np.ndarray
 ) -> TruncatedSeries:

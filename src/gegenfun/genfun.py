@@ -33,7 +33,6 @@ from .gegenbauer import (
     check_lambda,
     gegenbauer_of_series,
     gegenbauer_recurrence,
-    gegenbauer_series_family,
     gegenbauer_weighted_series,
 )
 from .hypergeometric import gamma_fn, gauss_2f1_series, pfq_terminating, pochhammer
@@ -108,6 +107,8 @@ def lhs_second_gf(lam: float, gamma: Scalar, x: Scalar, order: int) -> Truncated
 def lhs_alt_gf(lam: float, x: Scalar, order: int, which: int) -> TruncatedSeries:
     """sum_n ((lam ± 1/2)_n/(2 lam)_n) C_n(x) t**n (which = 1 -> +, 2 -> -)."""
     check_lambda(lam)
+    if which not in (1, 2):
+        raise ValueError(f"unknown which {which!r}")
     shift = 0.5 if which == 1 else -0.5
     w = _weights_pochhammer_ratio((lam + shift,), (2.0 * lam,), order)
     return gegenbauer_weighted_series(lam, x, order, w)
@@ -595,29 +596,56 @@ def lemma_key_check(
 ) -> tuple[TruncatedSeries, TruncatedSeries]:
     """Series-rearrangement identity powering the u-extensions:
     LHS weights (p+1)Fq(-n, c; d; u); RHS R**(-2 lam) sum_n
-    (prod (c)_n / prod (d)_n) C_n((x-t)/R) (-tu/R)**n."""
+    (prod (c)_n / prod (d)_n) C_n(w) q**n with w = (x-t)/R and q = -tu/R.
+
+    The sum runs in one loop over raw coefficient arrays of width m = N + 1.
+    q has an exact-zero constant term, so q**n has n leading exact zeros and
+    only its window [n, m) is formed; term n then reaches t**N only through
+    the first m - n coefficients of C_n(w), the width at which the
+    three-term recurrence
+
+        C_n = (2(n + lam - 1) w C_{n-1} - (n + 2 lam - 2) C_{n-2}) * (1/n)
+
+    forms it, with the scalar operations and order of the full-width series
+    recurrence.  Every coefficient is bitwise identical to the full-width
+    loop: a dropped product term is a finite coefficient times an exact zero,
+    and adding such a zero leaves a dot-product sum started at +0 unchanged,
+    as it leaves the accumulator, which never holds a -0.  Both convolution
+    operands have the same length, because np.convolve swaps a longer second
+    operand and so changes the summation order.
+    """
     if not 1 <= len(numerators) <= 2 or not 1 <= len(denominators) <= 2:
         raise ValueError("p and q must be 1 or 2")
     lhs = lhs_lemma(lam, numerators, denominators, u, x, order)
     wo = order + 2
     r2 = _r2(x, wo)
     rinv = pow_alpha(r2, -0.5)
-    w = TruncatedSeries.from_polynomial([x, -1.0], wo) * rinv
-    qfac = _t(wo) * rinv * (-u)
-    fam = gegenbauer_series_family(lam, order, w)
-    acc = TruncatedSeries.from_constant(0.0, wo)
-    qn = TruncatedSeries.from_constant(1.0, wo)
+    w = (TruncatedSeries.from_polynomial([x, -1.0], wo) * rinv).coeffs
+    q = (_t(wo) * rinv * (-u)).coeffs
+    m = order + 1
+    acc = np.zeros(m, dtype=DTYPE)
+    # qn[n:] holds the window of q**n; the entries below n are stale.
+    qn = np.zeros(m, dtype=DTYPE)
+    qn[0] = 1.0
+    # After step n, cur holds C_n(w) to width m - n and prev holds C_{n-1}(w).
+    cur = qn.copy()
     coeff = 1.0 + 0.0j
-    for n in range(order + 1):
+    for n in range(m):
+        width = m - n
         if n:
             for c in numerators:
                 coeff *= c + n - 1
             for d in denominators:
                 coeff /= d + n - 1
-            qn = qn * qfac
-        acc = acc + coeff * (fam[n] * qn)
-    rhs = pow_alpha(r2, -lam) * acc
-    return lhs, rhs.truncate(order)
+            qn[n:] = np.convolve(qn[n - 1 : n - 1 + width], q[1 : 1 + width])[:width]
+            if n == 1:
+                nxt = w[:width] * (2.0 * lam)
+            else:
+                wc = np.convolve(w[:width], cur[:width])[:width] * (2.0 * (n + lam - 1.0))
+                nxt = (wc - prev[:width] * (n + 2.0 * lam - 2.0)) * (1.0 / n)
+            prev, cur = cur, nxt
+        acc[n:] += np.convolve(cur, qn[n:])[:width] * coeff
+    return lhs, pow_alpha(r2, -lam) * TruncatedSeries(acc)
 
 
 # -- second generating function ----------------------------------------------------

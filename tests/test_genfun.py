@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from _bitwise import assert_bitwise
 
 from gegenfun import genfun as gf
 from gegenfun.errors import DomainMismatch, UncancelledPole
 from gegenfun.gegenbauer import ordinary_gf_series
-from gegenfun.series import TruncatedSeries, mixed_deviation
+from gegenfun.series import TruncatedSeries, mixed_deviation, pow_alpha
 
 
 def assert_pair(pair, tol=1e-9, order=None):
@@ -84,6 +85,8 @@ def test_alt_gf():
 def test_alt_gf_rejects_unknown_which():
     with pytest.raises(ValueError, match="unknown which 3"):
         gf.alt_gf(0.25, 2.0, 16, 3)
+    with pytest.raises(ValueError, match="unknown which 3"):
+        gf.lhs_alt_gf(0.25, 2.0, 16, 3)
 
 
 # -- radical examples ----------------------------------------------------------------
@@ -207,6 +210,51 @@ def test_lemma_key_check():
     assert mixed_deviation(rhs, ord_gf) <= 1e-12
     with pytest.raises(ValueError):
         gf.lemma_key_check(0.25, (), (0.5,), 0.3, 1.5, 8)
+
+
+def _ref_lemma_rhs(lam, numerators, denominators, u, x, order):
+    """lemma_key_check's right side as full-width series arithmetic: every
+    C_n(w) and q**n at order N + 2, summed term by term, then truncated."""
+    wo = order + 2
+    r2 = TruncatedSeries.from_polynomial([1.0, -2.0 * x, 1.0], wo)
+    rinv = pow_alpha(r2, -0.5)
+    w = TruncatedSeries.from_polynomial([x, -1.0], wo) * rinv
+    qfac = TruncatedSeries.variable(wo) * rinv * (-u)
+    fam = [TruncatedSeries.from_constant(1.0, wo), 2.0 * lam * w]
+    for n in range(2, order + 1):
+        nxt = (2.0 * (n + lam - 1.0)) * (w * fam[n - 1]) - (n + 2.0 * lam - 2.0) * fam[n - 2]
+        fam.append(nxt * (1.0 / n))
+    acc = TruncatedSeries.from_constant(0.0, wo)
+    qn = TruncatedSeries.from_constant(1.0, wo)
+    coeff = 1.0 + 0.0j
+    for n in range(order + 1):
+        if n:
+            for c in numerators:
+                coeff *= c + n - 1
+            for d in denominators:
+                coeff /= d + n - 1
+            qn = qn * qfac
+        acc = acc + coeff * (fam[n] * qn)
+    return (pow_alpha(r2, -lam) * acc).truncate(order)
+
+
+_LEMMA_CASES = (
+    (0.25, (7.0 / 12.0,), (0.5,)),
+    (1.7, (0.3, 0.2), (0.5, 0.75)),
+    (-0.3, (0.3,), (0.5, 1.6 + 0.1j)),
+    (0.25, (-3.0, 0.2), (0.75,)),
+)
+
+
+@pytest.mark.parametrize("order", (0, 1, 2, 5, 17, 64, 90))
+def test_lemma_key_check_bitwise_matches_full_width_sum(order):
+    # The windowed sum drops only products with an exact-zero factor, so each
+    # coefficient and zero sign must match the full-width series loop.
+    for lam, c, d in _LEMMA_CASES:
+        for u in (0.0, -0.0, 0.6, 0.7 + 0.2j):
+            for x in (1.5, 0.3 + 0.4j):
+                _, rhs = gf.lemma_key_check(lam, c, d, u, x, order)
+                assert_bitwise(rhs, _ref_lemma_rhs(lam, c, d, u, x, order))
 
 
 # -- second family ---------------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from _bitwise import assert_bitwise
 
 from gegenfun.errors import (
     DivisionByZeroSeries,
@@ -278,14 +279,6 @@ def _ref_div(a, b):
             acc = acc - np.dot(out[n - kmax : n][::-1], bn[1 : kmax + 1])
         out[n] = acc / b0
     return TruncatedSeries(out)
-
-
-def assert_bitwise(got, ref):
-    g, r = got.coeffs, ref.coeffs
-    assert g.dtype == r.dtype and g.shape == r.shape
-    assert np.array_equal(g, r)
-    for part in (np.real, np.imag):
-        assert np.array_equal(np.signbit(part(g)), np.signbit(part(r)))
 
 
 ORDERS = (0, 1, 2, 17, 66, 205)
