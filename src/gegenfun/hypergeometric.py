@@ -96,8 +96,15 @@ def gauss_2f1_scalar(a: Scalar, b: Scalar, c: Scalar, z: Scalar, tol: float = 1e
     """Gauss 2F1 by direct summation (terminating series are summed exactly).
 
     Stops once three consecutive terms fall below tol times the accumulated
-    magnitude.  Real arguments z <= -0.5 are summed after the Pfaff
-    transformation 2F1(a,b;c;z) = (1-z)^(-a) 2F1(a,c-b;c;z/(z-1)).
+    magnitude, and raises NoConvergence if that sum is not finite.  Real
+    arguments z <= -0.5 are summed after the Pfaff transformation
+    2F1(a,b;c;z) = (1-z)^(-a) 2F1(a,c-b;c;z/(z-1)).
+
+    The direct sum runs in float arithmetic when a, b, c and z are real, and
+    turns complex at the first product otherwise.  CPython 3.10-3.13 promotes
+    a float operand of complex arithmetic to complex(x, 0.0), whose real-part
+    results equal the float ones, so the float sum is bitwise identical to an
+    all-complex one; a real result's imaginary part is +0.0.
     """
     n_term = _termination_index(a, b)
     if n_term is not None:
@@ -120,15 +127,19 @@ def gauss_2f1_scalar(a: Scalar, b: Scalar, c: Scalar, z: Scalar, tol: float = 1e
     if abs(zc) >= DIRECT_LIMIT:
         raise NoConvergence(f"|z| = {abs(zc):.4f} outside the direct-summation domain")
     _check_denominator(c, None, MAX_TERMS)
-    acc = 1.0 + 0.0j
-    term = 1.0 + 0.0j
+    zs = zc.real if zc.imag == 0.0 else zc
+    acc = 1.0
+    term = 1.0
     small = 0
     for k in range(MAX_TERMS):
-        term *= (a + k) * (b + k) * zc / ((c + k) * (k + 1))
+        term *= (a + k) * (b + k) * zs / ((c + k) * (k + 1))
         acc += term
-        if abs(term) < tol * max(1.0, abs(acc)):
+        m = abs(acc)
+        if abs(term) < tol * (m if m > 1.0 else 1.0):
             small += 1
             if small >= 3:
+                if not math.isfinite(m):
+                    raise NoConvergence(f"2F1 partial sum {acc} is not finite at z = {z}")
                 return complex(acc)
         else:
             small = 0

@@ -1,18 +1,24 @@
 """Pochhammer, Gauss 2F1, terminating pFq, and Gamma: examples and properties."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
 from gegenfun.errors import NoConvergence, PoleAtNonPositiveInteger, PoleInDenominatorParams
 from gegenfun.hypergeometric import (
+    DIRECT_LIMIT,
+    MAX_TERMS,
+    _check_denominator,
+    _termination_index,
     gamma_fn,
     gauss_2f1_coeffs,
     gauss_2f1_scalar,
     pfq_terminating,
     pochhammer,
 )
+from gegenfun.series import DTYPE
 from gegenfun.poisson import elliptic_k
 
 
@@ -82,6 +88,101 @@ def test_2f1_scalar_pfaff_route_matches_direct_sum():
 def test_2f1_scalar_refuses_near_unit_argument():
     with pytest.raises(NoConvergence):
         gauss_2f1_scalar(0.3, 0.8, 1.2, 0.995)
+
+
+def test_2f1_scalar_overflowed_sum_is_not_converged():
+    # the partial sum reaches inf, after which every term is "small" against it
+    with pytest.raises(NoConvergence, match="not finite"):
+        gauss_2f1_scalar(150.0, 150.0, 0.5, 0.9)
+    # here the terms turn nan and the sum runs out of terms
+    with pytest.raises(NoConvergence):
+        gauss_2f1_scalar(300.0, 300.0, 0.5, 0.9)
+
+
+def _ref_gauss_2f1_scalar(a, b, c, z, tol=1e-14):
+    """The scalar 2F1 as it was summed in complex arithmetic throughout."""
+    n_term = _termination_index(a, b)
+    if n_term is not None:
+        _check_denominator(c, n_term, n_term)
+        aa, bb, cc, zz = DTYPE(a), DTYPE(b), DTYPE(c), DTYPE(z)
+        acc = DTYPE(1.0)
+        term = DTYPE(1.0)
+        for k in range(n_term):
+            term *= (aa + k) * (bb + k) * zz / ((cc + k) * (k + 1))
+            acc += term
+        return complex(acc)
+
+    zc = complex(z)
+    if abs(zc.imag) < 1e-300 and zc.real <= -0.5:
+        w = zc / (zc - 1.0)
+        return complex(
+            (1.0 - zc) ** (-complex(a)) * _ref_gauss_2f1_scalar(a, c - b, c, w, tol)
+        )
+    if abs(zc) >= DIRECT_LIMIT:
+        raise NoConvergence(f"|z| = {abs(zc):.4f} outside the direct-summation domain")
+    _check_denominator(c, None, MAX_TERMS)
+    acc = 1.0 + 0.0j
+    term = 1.0 + 0.0j
+    small = 0
+    for k in range(MAX_TERMS):
+        term *= (a + k) * (b + k) * zc / ((c + k) * (k + 1))
+        acc += term
+        if abs(term) < tol * max(1.0, abs(acc)):
+            small += 1
+            if small >= 3:
+                return complex(acc)
+        else:
+            small = 0
+    raise NoConvergence(f"2F1 did not converge within {MAX_TERMS} terms at z = {z}")
+
+
+def _2f1_grid(rng):
+    """(a, b, c, z) over the lanes: real floats and ints, z as x+0j and x-0j,
+    complex z and a, the Pfaff branch, |z| up to 0.98, poles and refusals."""
+    u = rng.uniform
+    for _ in range(400):
+        a, b, c = u(-3.0, 3.0), u(-3.0, 3.0), u(0.1, 4.0)
+        x = u(-0.98, 0.98)
+        yield a, b, c, x
+        yield a, b, c, complex(x, 0.0)
+        yield a, b, c, complex(x, -0.0)
+        r, phi = u(0.0, 0.98), u(-math.pi, math.pi)
+        yield a, b, c, complex(r * math.cos(phi), r * math.sin(phi))
+        yield complex(a, u(-1.0, 1.0)), b, c, x
+        yield a, b, complex(c, u(-1.0, 1.0)), complex(x, -0.0)
+        yield a, b, c, u(-20.0, -0.5)  # Pfaff map onto w in [1/3, 20/21]
+        yield complex(a, u(-1.0, 1.0)), b, c, u(-20.0, -0.5)
+        yield rng.randint(1, 6), rng.randint(-4, 6) + 0.5, rng.randint(1, 5), x
+        yield rng.randint(-6, 0), b, c, x  # terminating
+        yield a, b, -float(rng.randint(0, 4)), x  # a pole of (c)_k
+    for x in (0.98, 0.985, 0.99, 0.0, -0.0, -0.5, 0.5, complex(0.7, 0.71)):
+        yield 0.7, 1.3, 1.9, x
+    yield 150.0, 150.0, 0.5, 0.9  # overflows: refused now, inf in the reference
+
+
+def test_2f1_scalar_bitwise_matches_complex_sum():
+    rng = random.Random(20160718)
+    real_sums = 0
+    for a, b, c, z in _2f1_grid(rng):
+        try:
+            ref = _ref_gauss_2f1_scalar(a, b, c, z)
+        except Exception as exc:
+            with pytest.raises(type(exc)):
+                gauss_2f1_scalar(a, b, c, z)
+            continue
+        if not (math.isfinite(ref.real) and math.isfinite(ref.imag)):
+            with pytest.raises(NoConvergence):
+                gauss_2f1_scalar(a, b, c, z)
+            continue
+        got = gauss_2f1_scalar(a, b, c, z)
+        if all(complex(v).imag == 0.0 for v in (a, b, c, z)):
+            real_sums += 1
+            assert got.real.hex() == ref.real.hex(), (a, b, c, z)
+            assert got.imag == 0.0, (a, b, c, z)
+        else:
+            assert got.real.hex() == ref.real.hex(), (a, b, c, z)
+            assert got.imag.hex() == ref.imag.hex(), (a, b, c, z)
+    assert real_sums > 2000
 
 
 def test_2f1_closed_form_consistency_cyclic():
