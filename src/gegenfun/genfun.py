@@ -35,7 +35,7 @@ from .gegenbauer import (
     gegenbauer_recurrence,
     gegenbauer_weighted_series,
 )
-from .hypergeometric import gamma_fn, gauss_2f1_series, pfq_terminating, pochhammer
+from .hypergeometric import gamma_fn, gauss_2f1_series, pfq_terminating_all, pochhammer
 from .legendre import legendre_analytic_series
 from .series import DTYPE, TruncatedSeries, _shift_down, _shift_up, div, pow_alpha
 
@@ -157,9 +157,7 @@ def lhs_lemma(
     order: int,
 ) -> TruncatedSeries:
     """Weights (p+1)Fq(-n, c_1..c_p; d_1..d_q; u)."""
-    w = np.array(
-        [pfq_terminating(n, list(numerators), list(denominators), u) for n in range(order + 1)]
-    )
+    w = pfq_terminating_all(order, numerators, denominators, u)
     return gegenbauer_weighted_series(lam, x, order, w)
 
 
@@ -604,7 +602,7 @@ def lemma_key_check(
     the first m - n coefficients of C_n(w), the width at which the
     three-term recurrence
 
-        C_n = (2(n + lam - 1) w C_{n-1} - (n + 2 lam - 2) C_{n-2}) * (1/n)
+        C_n = (2(n + lam - 1) w C_{n-1} - (n + 2 lam - 2) C_{n-2}) / n
 
     forms it, with the scalar operations and order of the full-width series
     recurrence.  Every coefficient is bitwise identical to the full-width
@@ -629,20 +627,20 @@ def lemma_key_check(
     qn[0] = 1.0
     # After step n, cur holds C_n(w) to width m - n and prev holds C_{n-1}(w).
     cur = qn.copy()
-    coeff = 1.0 + 0.0j
+    coeff = DTYPE(1)
     for n in range(m):
         width = m - n
         if n:
             for c in numerators:
-                coeff *= c + n - 1
+                coeff *= DTYPE(c) + (n - 1)
             for d in denominators:
-                coeff /= d + n - 1
+                coeff /= DTYPE(d) + (n - 1)
             qn[n:] = np.convolve(qn[n - 1 : n - 1 + width], q[1 : 1 + width])[:width]
             if n == 1:
                 nxt = w[:width] * (2.0 * lam)
             else:
                 wc = np.convolve(w[:width], cur[:width])[:width] * (2.0 * (n + lam - 1.0))
-                nxt = (wc - prev[:width] * (n + 2.0 * lam - 2.0)) * (1.0 / n)
+                nxt = (wc - prev[:width] * (n + 2.0 * lam - 2.0)) / n
             prev, cur = cur, nxt
         acc[n:] += np.convolve(cur, qn[n:])[:width] * coeff
     return lhs, pow_alpha(r2, -lam) * TruncatedSeries(acc)

@@ -12,6 +12,7 @@ import math
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NoConvergence, PoleAtNonPositiveInteger, PoleInDenominatorParams
 from .series import DTYPE, TruncatedSeries, compose_vanishing
@@ -25,6 +26,9 @@ INT_TOL = 1e-9
 # case; real z <= -0.5 goes through the Pfaff map first.
 DIRECT_LIMIT = 0.99
 MAX_TERMS = 100_000
+# The direct sum checks its partial sum for inf or NaN, which it never
+# recovers from, after each block of this many terms (a divisor of MAX_TERMS).
+_FINITE_CHECK_EVERY = 50
 
 
 def as_negative_integer(x: Scalar) -> int | None:
@@ -96,7 +100,8 @@ def gauss_2f1_scalar(a: Scalar, b: Scalar, c: Scalar, z: Scalar, tol: float = 1e
     """Gauss 2F1 by direct summation (terminating series are summed exactly).
 
     Stops once three consecutive terms fall below tol times the accumulated
-    magnitude, and raises NoConvergence if that sum is not finite.  Real
+    magnitude.  Raises NoConvergence if the partial sum is not finite there,
+    or at the end of any block of _FINITE_CHECK_EVERY terms.  Real
     arguments z <= -0.5 are summed after the Pfaff transformation
     2F1(a,b;c;z) = (1-z)^(-a) 2F1(a,c-b;c;z/(z-1)).
 
@@ -131,18 +136,21 @@ def gauss_2f1_scalar(a: Scalar, b: Scalar, c: Scalar, z: Scalar, tol: float = 1e
     acc = 1.0
     term = 1.0
     small = 0
-    for k in range(MAX_TERMS):
-        term *= (a + k) * (b + k) * zs / ((c + k) * (k + 1))
-        acc += term
-        m = abs(acc)
-        if abs(term) < tol * (m if m > 1.0 else 1.0):
-            small += 1
-            if small >= 3:
-                if not math.isfinite(m):
-                    raise NoConvergence(f"2F1 partial sum {acc} is not finite at z = {z}")
-                return complex(acc)
-        else:
-            small = 0
+    for start in range(0, MAX_TERMS, _FINITE_CHECK_EVERY):
+        for k in range(start, start + _FINITE_CHECK_EVERY):
+            term *= (a + k) * (b + k) * zs / ((c + k) * (k + 1))
+            acc += term
+            m = abs(acc)
+            if abs(term) < tol * (m if m > 1.0 else 1.0):
+                small += 1
+                if small >= 3:
+                    break
+            else:
+                small = 0
+        if not math.isfinite(m):
+            raise NoConvergence(f"2F1 partial sum {acc} is not finite at z = {z}")
+        if small >= 3:
+            return complex(acc)
     raise NoConvergence(f"2F1 did not converge within {MAX_TERMS} terms at z = {z}")
 
 
@@ -151,28 +159,46 @@ def gauss_2f1_series(a: Scalar, b: Scalar, c: Scalar, inner: TruncatedSeries) ->
     return compose_vanishing(gauss_2f1_coeffs(a, b, c, inner.order), inner)
 
 
+def pfq_terminating_all(
+    order: int,
+    extra_numerators: Sequence[Scalar],
+    denominators: Sequence[Scalar],
+    u: Scalar,
+) -> np.ndarray:
+    """The (p+1)Fq(-n, c_1..c_p; d_1..d_q; u) for n = 0..order, as one DTYPE array.
+
+    With s_k = u prod (c_i + k) / (prod (d_j + k) (k + 1)), formed once for
+    every n, the k-th term of the n-th sum is prod_{j <= k} (j - n) s_j.  Row n
+    of the cumulative product of (k - n) s_k holds those terms; the factor
+    k - n vanishes at k = n, so the row is exact zeros from there on.  The
+    rows k - n are overlapping windows of one array -order..order-1, so the
+    (order + 1) x order matrix of differences is a view, never formed.
+    """
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    for d in denominators:
+        md = as_negative_integer(d)
+        if md is not None and -md + 1 <= order:
+            raise PoleInDenominatorParams(
+                f"denominator parameter {d} vanishes within the finite sum"
+            )
+    k = np.arange(order, dtype=DTYPE)
+    num = np.full(order, DTYPE(u))
+    for c in extra_numerators:
+        num *= k + c
+    den = k + 1
+    for d in denominators:
+        den *= k + d
+    diffs = sliding_window_view(np.arange(-order, order, dtype=DTYPE), order)[::-1]
+    steps = diffs * (num / den)
+    return 1 + np.cumprod(steps, axis=1).sum(axis=1)
+
+
 def pfq_terminating(
     n: int,
     extra_numerators: Sequence[Scalar],
     denominators: Sequence[Scalar],
     u: Scalar,
 ) -> complex:
-    """Finite sum of the (p+1)Fq with leading numerator -n: n+1 exact terms."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    for d in denominators:
-        md = as_negative_integer(d)
-        if md is not None and -md + 1 <= n:
-            raise PoleInDenominatorParams(
-                f"denominator parameter {d} vanishes within the finite sum"
-            )
-    acc = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    for k in range(n):
-        term *= (-n + k) * u / (k + 1)
-        for cnum in extra_numerators:
-            term *= cnum + k
-        for d in denominators:
-            term /= d + k
-        acc += term
-    return complex(acc)
+    """Finite sum of the (p+1)Fq with leading numerator -n: row n of pfq_terminating_all."""
+    return complex(pfq_terminating_all(n, extra_numerators, denominators, u)[n])

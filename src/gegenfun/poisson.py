@@ -25,22 +25,11 @@ from .hypergeometric import gamma_fn, gauss_2f1_scalar
 _AGM_TOL = 1e-16
 
 
-def elliptic_k(m: float) -> float:
-    """Complete elliptic integral of the first kind, parameter convention."""
+def _elliptic_k_e(m: float, name: str) -> tuple[float, float]:
+    """K(m) and E(m) from one AGM run: K = pi/(2a) at its final a, and
+    E = K (1 - sum 2**(n-1) c_n**2); name labels the range error."""
     if not 0.0 <= m < 1.0:
-        raise OutOfRange(f"K(m) needs 0 <= m < 1, got {m}")
-    a, b = 1.0, math.sqrt(1.0 - m)
-    for _ in range(60):
-        if abs(a - b) <= _AGM_TOL * a:
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return math.pi / (2.0 * a)
-
-
-def elliptic_e(m: float) -> float:
-    """Complete elliptic integral of the second kind via the AGM c-sum."""
-    if not 0.0 <= m < 1.0:
-        raise OutOfRange(f"E(m) needs 0 <= m < 1, got {m}")
+        raise OutOfRange(f"{name}(m) needs 0 <= m < 1, got {m}")
     a, b = 1.0, math.sqrt(1.0 - m)
     csum = 0.5 * m  # 2**(n-1) c_n**2 at n = 0, c_0 = sqrt(m)
     pow2 = 0.5
@@ -51,7 +40,18 @@ def elliptic_e(m: float) -> float:
         a, b = 0.5 * (a + b), math.sqrt(a * b)
         pow2 *= 2.0
         csum += pow2 * c * c
-    return math.pi / (2.0 * a) * (1.0 - csum)
+    k = math.pi / (2.0 * a)
+    return k, k * (1.0 - csum)
+
+
+def elliptic_k(m: float) -> float:
+    """Complete elliptic integral of the first kind, parameter convention."""
+    return _elliptic_k_e(m, "K")[0]
+
+
+def elliptic_e(m: float) -> float:
+    """Complete elliptic integral of the second kind via the AGM c-sum."""
+    return _elliptic_k_e(m, "E")[1]
 
 
 # -- kernel geometry -----------------------------------------------------------
@@ -271,12 +271,9 @@ def elliptic_quarter_rhs(w: float) -> float:
     if not 0.0 < w < 1.0:
         raise OutOfRange(f"w must lie in (0, 1), got {w}")
     sw = math.sqrt(w)
-    wp, wm = 0.5 * (1.0 + sw), 0.5 * (1.0 - sw)
-    return (
-        2.0 * sw / (1.0 - w) * (elliptic_e(wp) - elliptic_e(wm))
-        + elliptic_k(wp) / (1.0 + sw)
-        + elliptic_k(wm) / (1.0 - sw)
-    )
+    kp, ep = _elliptic_k_e(0.5 * (1.0 + sw), "E")
+    km, em = _elliptic_k_e(0.5 * (1.0 - sw), "E")
+    return 2.0 * sw / (1.0 - w) * (ep - em) + kp / (1.0 + sw) + km / (1.0 - sw)
 
 
 def quarter_kernel_elliptic(args: KernelArgs) -> float:

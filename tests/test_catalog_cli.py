@@ -205,16 +205,16 @@ def test_cli_classify(capsys):
 # one reported deviation changes them.
 VERIFY_ALL_SHA256 = {
     16: (
-        "492e10543935289521fc69dc93e742792c87491a0cf60d0d7093b346ad47bd5d",
-        "9425d28456f2b1163def30477bffedf83ae5a84af9d4bf962b599de752dc67ae",
+        "f6ccfb61df1cd962587c93aad9856464e45920c97f1bfa1342ae79916f51949e",
+        "fe930c594a753aadeac3324ca4dc13a8be0516cb894dde7bd9c974b331dc18a5",
     ),
     32: (
-        "1927683a290f2a1fef2643cab9cee215c32312291ca55a64a61194dab9e3fc02",
-        "0d8ac41fa7a14a782078354b137a9eb9ca79cbb91fbe730cbd1de4f9d63aaaa1",
+        "6bd641be1517ab7f94a8be2d659256f58ac71e2d0eef2affce8bf45ae168b40d",
+        "98cc247ea67e4b4c7944800776964ca7940e1fea2aa9163f821d65ceac7d69bf",
     ),
     64: (
-        "5c4963794ec469ff55bdc7ef37f75dddcee26ed3a7d212f1640ac63c1177aaca",
-        "7fafb9230129b959ab32512f5054d9e18f6d8afdfe8b01de8e48dc8b4906456f",
+        "02eabae8d06cd0b4002d5ef508bb3f582a782f3330bebc6ce577211e6896d57c",
+        "cd6022c0c6f4256fa0a7c7837483e4e4c7ec240e8a38cd0ffffd1dabe561458c",
     ),
 }
 

@@ -10,7 +10,7 @@ from _bitwise import assert_bitwise
 from gegenfun import genfun as gf
 from gegenfun.errors import DomainMismatch, UncancelledPole
 from gegenfun.gegenbauer import ordinary_gf_series
-from gegenfun.series import TruncatedSeries, mixed_deviation, pow_alpha
+from gegenfun.series import DTYPE, TruncatedSeries, mixed_deviation, pow_alpha
 
 
 def assert_pair(pair, tol=1e-9, order=None):
@@ -223,16 +223,16 @@ def _ref_lemma_rhs(lam, numerators, denominators, u, x, order):
     fam = [TruncatedSeries.from_constant(1.0, wo), 2.0 * lam * w]
     for n in range(2, order + 1):
         nxt = (2.0 * (n + lam - 1.0)) * (w * fam[n - 1]) - (n + 2.0 * lam - 2.0) * fam[n - 2]
-        fam.append(nxt * (1.0 / n))
+        fam.append(nxt / n)
     acc = TruncatedSeries.from_constant(0.0, wo)
     qn = TruncatedSeries.from_constant(1.0, wo)
-    coeff = 1.0 + 0.0j
+    coeff = DTYPE(1)
     for n in range(order + 1):
         if n:
             for c in numerators:
-                coeff *= c + n - 1
+                coeff *= DTYPE(c) + (n - 1)
             for d in denominators:
-                coeff /= d + n - 1
+                coeff /= DTYPE(d) + (n - 1)
             qn = qn * qfac
         acc = acc + coeff * (fam[n] * qn)
     return (pow_alpha(r2, -lam) * acc).truncate(order)

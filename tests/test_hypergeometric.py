@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from gegenfun.hypergeometric import (
     gauss_2f1_coeffs,
     gauss_2f1_scalar,
     pfq_terminating,
+    pfq_terminating_all,
     pochhammer,
 )
 from gegenfun.series import DTYPE
@@ -96,6 +98,13 @@ def test_2f1_scalar_overflowed_sum_is_not_converged():
         gauss_2f1_scalar(150.0, 150.0, 0.5, 0.9)
     # here the terms turn nan and the sum runs out of terms
     with pytest.raises(NoConvergence):
+        gauss_2f1_scalar(300.0, 300.0, 0.5, 0.9)
+
+
+def test_2f1_scalar_nan_sum_stops_early():
+    # the terms turn nan after inf/inf; the sum is refused as not finite
+    # instead of running all MAX_TERMS terms
+    with pytest.raises(NoConvergence, match="is not finite"):
         gauss_2f1_scalar(300.0, 300.0, 0.5, 0.9)
 
 
@@ -212,6 +221,109 @@ def test_pfq_terminating_examples():
 def test_pfq_pole_detection():
     with pytest.raises(PoleInDenominatorParams):
         pfq_terminating(4, [0.5], [-2.0], 0.3)
+
+
+def _ref_pfq_terminating(n, extra_numerators, denominators, u):
+    """pfq_terminating as it was summed, term by term in Python complex."""
+    acc = 1.0 + 0.0j
+    term = 1.0 + 0.0j
+    for k in range(n):
+        term *= (-n + k) * u / (k + 1)
+        for cnum in extra_numerators:
+            term *= cnum + k
+        for d in denominators:
+            term /= d + k
+        acc += term
+    return complex(acc)
+
+
+def _exact(x):
+    """A float, complex or long-double value as an exact (re, im) pair of Fractions."""
+    x = complex(x) if isinstance(x, (int, float, complex)) else x
+    return Fraction(*x.real.as_integer_ratio()), Fraction(*x.imag.as_integer_ratio())
+
+
+def _cmul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _cdiv(a, b):
+    den = b[0] * b[0] + b[1] * b[1]
+    return (a[0] * b[0] + a[1] * b[1]) / den, (a[1] * b[0] - a[0] * b[1]) / den
+
+
+def _exact_pfq_all(order, extra_numerators, denominators, u):
+    """Exact (p+1)Fq(-n, c; d; u) for n = 0..order at the given double parameters.
+
+    Term k of the n-th sum is (-n)_k S_k with S_k = prod_{j<k} s_j and
+    s_j = u prod (c + j) / (prod (d + j) (j + 1)), so over a common
+    denominator every weight is an integer combination of the S_k.
+    """
+    c, d, uu = [_exact(v) for v in extra_numerators], [_exact(v) for v in denominators], _exact(u)
+    prods = [(Fraction(1), Fraction(0))]
+    for j in range(order):
+        s = uu
+        for cc in c:
+            s = _cmul(s, (cc[0] + j, cc[1]))
+        for dd in d:
+            s = _cdiv(s, (dd[0] + j, dd[1]))
+        prods.append(_cmul(prods[-1], (s[0] / (j + 1), s[1] / (j + 1))))
+    den = math.lcm(*(part.denominator for p in prods for part in p))
+    nums = [(int(p[0] * den), int(p[1] * den)) for p in prods]
+    out = []
+    for n in range(order + 1):
+        re = im = 0
+        fall = 1  # (-n)_k
+        for k in range(n + 1):
+            re += fall * nums[k][0]
+            im += fall * nums[k][1]
+            fall *= k - n
+        out.append((Fraction(re, den), Fraction(im, den)))
+    return out
+
+
+def _mixed_dev_sq(got, exact):
+    """Squared |got - exact| / max(1, |got|, |exact|), exactly."""
+    g = _exact(got)
+    diff = (g[0] - exact[0]) ** 2 + (g[1] - exact[1]) ** 2
+    return diff / max(1, g[0] ** 2 + g[1] ** 2, exact[0] ** 2 + exact[1] ** 2)
+
+
+# (c, d, u) of the lemma.key samples, then of the gf2x samples, which weight
+# by 3F2(-n, gamma, 2 lam - gamma; 2 lam, lam + 1/2; u).
+_PFQ_WEIGHT_ROWS = (
+    ((7.0 / 12.0,), (0.5,), 0.6),
+    ((0.3, 0.2), (0.5, 0.75), 0.6),
+    ((0.3,), (0.5,), 0.0),
+    ((0.4, 0.7), (1.2, 0.9), 0.7 + 0.2j),
+) + tuple(
+    ((gamma, 2.0 * lam - gamma), (2.0 * lam, lam + 0.5), u)
+    for lam, gamma, u in (
+        (0.5, 0.3, 1.0),
+        (0.25, 0.25 + 1.0 / 3.0, 0.4),
+        (0.25, 0.3, 0.0),
+        (1.0 / 6.0, 0.25, 0.7 + 0.2j),
+    )
+)
+
+
+def test_pfq_terminating_all_against_exact_sum():
+    # Each long-double weight is at least as close to the exact sum as the
+    # double loop's, or within 1e-16 of it; at order 64 the worst weight is
+    # at least 100 times closer than the double loop's worst.
+    floor_sq = Fraction(1, 10**32)
+    for c, d, u in _PFQ_WEIGHT_ROWS:
+        exact = _exact_pfq_all(64, c, d, u)
+        old = [_mixed_dev_sq(_ref_pfq_terminating(n, c, d, u), exact[n]) for n in range(65)]
+        for order in (16, 32, 64):
+            got = pfq_terminating_all(order, c, d, u)
+            assert got.dtype == DTYPE and got.shape == (order + 1,)
+            new = [_mixed_dev_sq(got[n], exact[n]) for n in range(order + 1)]
+            for n in range(order + 1):
+                assert new[n] <= old[n] or new[n] <= floor_sq, (c, d, u, order, n)
+        if max(old) > floor_sq:
+            assert max(new) * 100**2 <= max(old), (c, d, u)
+        assert pfq_terminating(64, c, d, u) == complex(got[64])
 
 
 def test_gamma_examples():
