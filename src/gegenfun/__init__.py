@@ -8,7 +8,7 @@ from .hypergeometric import (
     gamma_fn,
     gauss_2f1_coeffs,
     gauss_2f1_scalar,
-    pfq_terminating,
+    pfq_terminating_all,
     pochhammer,
 )
 from .gegenbauer import (
@@ -31,7 +31,7 @@ __all__ = [
     "gamma_fn",
     "gauss_2f1_coeffs",
     "gauss_2f1_scalar",
-    "pfq_terminating",
+    "pfq_terminating_all",
     "pochhammer",
     "gegenbauer_hypergeometric",
     "gegenbauer_of_series",

@@ -1,15 +1,17 @@
-"""Identity catalog: stable ids, default sample grids, runners, and report records.
+"""Identity catalog: stable ids, default sample grids, the runner, and report records.
 
-Most identities are rows of one table, `CATALOG`. A row names a check, the
-point fields in output order, one override axis ("x" or "u") and its cases.
-A case holds one value per field, except that the axis field holds a tuple
-of default values. The runner samples each case once per axis value, taken
-from the `--x`/`--u` override when one is given, and reports the fields as
-the sample's point. The check takes the case's values in field order, then
-the order, and returns an (lhs, rhs) pair of series or a deviation. Rows
-reach `genfun` through the module at call time, so a wrapper bound to the
-module attribute sees every call. Entries without an axis are scalar checks:
-`check(order, tol)` returns the samples itself and ignores overrides.
+Every identity is a row of one table, `CATALOG`. A row names a check, the
+point fields in output order, an override axis ("x" or "u", or None) and its
+cases. A case holds one value per field, except that the axis field holds a
+tuple of default values. The runner samples each case once per axis value,
+taken from the `--x`/`--u` override when one is given, and reports the fields
+as the sample's point. A row without an axis is a scalar check: each case is
+one point, and overrides are ignored. A row may name one field more than its
+cases hold; that last field reports the order. The check takes the point's
+values, then the order, and returns an (lhs, rhs) pair of series or a
+deviation. Rows reach `genfun`, `poisson`, `legendre` and `hypergeometric`
+through the module at call time, so a wrapper bound to the module attribute
+sees every call.
 
 Default grids follow the validity regimes of the closed forms: hyperbolic
 substitutions sample x in {1.3, 1.5, 2, 5}, circular ones x in
@@ -31,7 +33,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from . import genfun, legendre, poisson
+from . import genfun, hypergeometric, legendre, poisson
 from .errors import GegenfunError
 from .series import mixed_deviation
 
@@ -52,10 +54,6 @@ def _fmt(v) -> str:
     if isinstance(v, float):
         return f"{v:g}"
     return str(v)
-
-
-def _point(**kv) -> dict[str, str]:
-    return {k: _fmt(v) for k, v in kv.items()}
 
 
 @dataclass
@@ -103,190 +101,96 @@ def _deviation(result, order: int) -> float:
 
 
 def _run_row(entry: IdentityEntry, order: int, tol: float, values: Sequence | None) -> list[SampleResult]:
-    i = entry.fields.index(entry.axis)
-    out = []
-    for case in entry.cases:
-        for v in case[i] if values is None else values:
-            args = case[:i] + (v,) + case[i + 1 :]
-            out.append(
-                _sample(
-                    {k: _fmt(a) for k, a in zip(entry.fields, args)},
-                    lambda: _deviation(entry.check(*args, order), order),
-                    tol,
-                )
-            )
-    return out
+    if entry.axis is None:
+        points = entry.cases
+    else:
+        i = entry.fields.index(entry.axis)
+        points = [
+            case[:i] + (v,) + case[i + 1 :] for case in entry.cases for v in (case[i] if values is None else values)
+        ]
+    return [
+        _sample(
+            {k: _fmt(a) for k, a in zip(entry.fields, args + (order,))},
+            lambda: _deviation(entry.check(*args, order), order),
+            tol,
+        )
+        for args in points
+    ]
 
 
-# -- kernel and elliptic runners ----------------------------------------------------
+# -- scalar checks ------------------------------------------------------------------
 
 
-_KERNEL_POINTS = (
-    (1.0, 1.7, 0.15),
-    (1.2, 2.0, -0.2),
-    (0.8, 0.8, 0.1),
-    (math.pi / 2.0, math.pi / 2.0, -0.15),
-)
+def _scaled_gap(a, b) -> float:
+    return abs(a - b) / max(1.0, abs(b))
 
 
-def _run_kernel(weighted: bool):
-    def run(order: int, tol: float) -> list[SampleResult]:
-        out = []
-        for lam in (0.25, 1.0 / 6.0):
-            for theta, phi, t in _KERNEL_POINTS:
-                def fn(lam=lam, theta=theta, phi=phi, t=t):
-                    args = poisson.KernelArgs(lam, theta, phi, t)
-                    closed = (poisson.poisson_kernel if weighted else poisson.companion_kernel)
-                    v1, v2 = closed(args, "tilde"), closed(args, "z")
-                    psum = poisson.bilinear_partial_sum(lam, theta, phi, t, 48, weighted)
-                    scale = max(1.0, abs(v1))
-                    return max(abs(v1 - v2), abs(v1 - psum)) / scale
-
-                zt, _ = poisson.kernel_arguments(poisson.KernelArgs(lam, theta, phi, t))
-                out.append(
-                    _sample(
-                        _point(lam=lam, theta=theta, phi=phi, t=t, arg=round(zt, 4)), fn, tol
-                    )
-                )
-        return out
-
-    return run
+def _kernel_deviation(weighted: bool, lam, theta, phi, t, arg, order) -> float:
+    args = poisson.KernelArgs(lam, theta, phi, t)
+    closed = poisson.poisson_kernel if weighted else poisson.companion_kernel
+    v1, v2 = closed(args, "tilde"), closed(args, "z")
+    psum = poisson.bilinear_partial_sum(lam, theta, phi, t, 48, weighted)
+    return max(abs(v1 - v2), abs(v1 - psum)) / max(1.0, abs(v1))
 
 
-def _run_operator(order: int, tol: float) -> list[SampleResult]:
-    out = []
-    for lam in (0.25, 1.0 / 6.0):
-        for theta, phi in ((1.0, 1.7), (0.8, 2.1)):
-            out.append(
-                _sample(
-                    _point(lam=lam, theta=theta, phi=phi, order=order),
-                    lambda: poisson.operator_relation_check(lam, theta, phi, order),
-                    tol,
-                )
-            )
-    return out
+def _quarter_kernel_deviation(theta, phi, t, order) -> float:
+    args = poisson.KernelArgs(0.25, theta, phi, t)
+    return _scaled_gap(poisson.quarter_kernel_elliptic(args), poisson.poisson_kernel(args, "tilde"))
 
 
-def _run_quarter_kernel(order: int, tol: float) -> list[SampleResult]:
-    pts = ((math.pi / 2, math.pi / 2, -0.15), (1.2, 2.0, -0.2), (1.0, 1.3, -0.1))
-    out = []
-    for theta, phi, t in pts:
-        def fn(theta=theta, phi=phi, t=t):
-            args = poisson.KernelArgs(0.25, theta, phi, t)
-            a = poisson.quarter_kernel_elliptic(args)
-            b = poisson.poisson_kernel(args, "tilde")
-            return abs(a - b) / max(1.0, abs(b))
-
-        out.append(_sample(_point(theta=theta, phi=phi, t=t), fn, tol))
-    return out
+def _legendre_relation_gap(m, order) -> float:
+    e, k = poisson.elliptic_e, poisson.elliptic_k
+    return abs(e(m) * k(1 - m) + e(1 - m) * k(m) - k(m) * k(1 - m) - math.pi / 2.0)
 
 
-def _run_elliptic_quarter(order: int, tol: float) -> list[SampleResult]:
-    out = []
-    for w in (1e-6, 0.1, 0.25, 0.49):
-        def fn(w=w):
-            a, b = poisson.elliptic_quarter_lhs(w), poisson.elliptic_quarter_rhs(w)
-            return abs(a - b) / max(1.0, abs(b))
-
-        out.append(_sample(_point(w=w), fn, tol))
-    return out
-
-
-def _run_k_2f1(order: int, tol: float) -> list[SampleResult]:
-    from .hypergeometric import gauss_2f1_scalar
-
-    out = []
-    for m in (0.05, 0.3, 0.5, 0.8):
-        def fn(m=m):
-            a = 2.0 / math.pi * poisson.elliptic_k(m)
-            b = gauss_2f1_scalar(0.5, 0.5, 1.0, m).real
-            return abs(a - b) / max(1.0, abs(b))
-
-        out.append(_sample(_point(m=m), fn, tol))
-    return out
-
-
-def _run_legendre_relation(order: int, tol: float) -> list[SampleResult]:
-    out = []
-    for m in (0.1, 0.3, 0.5):
-        def fn(m=m):
-            e, k = poisson.elliptic_e, poisson.elliptic_k
-            val = e(m) * k(1 - m) + e(1 - m) * k(m) - k(m) * k(1 - m)
-            return abs(val - math.pi / 2.0)
-
-        out.append(_sample(_point(m=m), fn, tol))
-    return out
-
-
-def _closed_form_grids():
-    lg = legendre
-    hyp = np.linspace(0.2, 2.0, 10)
-    circ = np.linspace(0.3, 2.8, 10)
-    tanh_grid = np.linspace(-1.5, 1.5, 10)
-    coth_grid = np.linspace(0.3, 2.0, 10)
-    z_leg = np.linspace(1.2, 2.8, 10)
-    z_fer = np.linspace(-0.8, 0.8, 10)
-    L, F = lg.Branch.LEGENDRE, lg.Branch.FERRERS
-
+def _closed_form_deviation(form, oracle, lo, hi) -> float:
     def rel(a, b):
         return abs(a - b) / max(abs(b), 1e-300)
 
-    def oracle(nu, mu, z, branch):
-        return lg.legendre_p_hypergeometric(nu, mu, z, branch)
-
-    yield "reducible-L", lambda: max(
-        rel(lg.reducible_case(0.25, 2, z, L), oracle(1.75, 0.25, z, L)) for z in z_leg
-    )
-    yield "reducible-F", lambda: max(
-        rel(lg.reducible_case(-0.5, 1, z, F), oracle(1.5, -0.5, z, F)) for z in z_fer
-    )
-    yield "cyclic-L", lambda: max(
-        rel(lg.cyclic_case(1.0 / 3.0, xi, L), oracle(0.0, 1.0 / 3.0, 1.0 / math.tanh(xi), L))
-        for xi in coth_grid
-    )
-    yield "cyclic-F", lambda: max(
-        rel(lg.cyclic_case(1.0 / 3.0, xi, F), oracle(0.0, 1.0 / 3.0, math.tanh(xi), F))
-        for xi in tanh_grid
-    )
-    yield "dihedral-L", lambda: max(
-        rel(lg.dihedral_case(1.0 / 6.0, xi, L), oracle(1.0 / 6.0, 0.5, math.cosh(xi), L))
-        for xi in hyp
-    )
-    yield "dihedral-F", lambda: max(
-        rel(lg.dihedral_case(1.0 / 6.0, th, F), oracle(1.0 / 6.0, 0.5, math.cos(th), F))
-        for th in circ
-    )
-    for sign, tag in ((+1, "octahedral+"), (-1, "octahedral-")):
-        yield f"{tag}-L", lambda sign=sign: max(
-            rel(lg.octahedral_p(sign, xi, L), oracle(-1.0 / 6.0, sign * 0.25, math.cosh(xi), L))
-            for xi in hyp
-        )
-        yield f"{tag}-F", lambda sign=sign: max(
-            rel(lg.octahedral_p(sign, th, F), oracle(-1.0 / 6.0, sign * 0.25, math.cos(th), F))
-            for th in circ
-        )
-    for sign, tag in ((+1, "tetrahedral+"), (-1, "tetrahedral-")):
-        yield f"{tag}-L", lambda sign=sign: max(
-            rel(
-                lg.tetrahedral_p(sign, xi, L),
-                oracle(-0.25, sign / 3.0, 1.0 / math.tanh(xi), L),
-            )
-            for xi in coth_grid
-        )
-        yield f"{tag}-F", lambda sign=sign: max(
-            rel(
-                lg.tetrahedral_p(sign, xi, F),
-                oracle(-0.25, sign / 3.0, math.tanh(xi), F),
-            )
-            for xi in tanh_grid
-        )
+    return max(rel(form(v), legendre.legendre_p_hypergeometric(*oracle(v))) for v in np.linspace(lo, hi, 10))
 
 
-def _run_closed_forms(order: int, tol: float) -> list[SampleResult]:
-    return [
-        _sample(_point(case=name, grid="10-point"), fn, tol)
-        for name, fn in _closed_form_grids()
-    ]
+_L, _F = legendre.Branch.LEGENDRE, legendre.Branch.FERRERS
+
+# case -> (closed form at the grid value v, the oracle's (nu, mu, z, branch) at v, grid ends)
+_CLOSED_FORMS = {
+    "reducible-L": (lambda v: legendre.reducible_case(0.25, 2, v, _L),
+                    lambda v: (1.75, 0.25, v, _L), 1.2, 2.8),
+    "reducible-F": (lambda v: legendre.reducible_case(-0.5, 1, v, _F),
+                    lambda v: (1.5, -0.5, v, _F), -0.8, 0.8),
+    "cyclic-L": (lambda v: legendre.cyclic_case(1.0 / 3.0, v, _L),
+                 lambda v: (0.0, 1.0 / 3.0, 1.0 / math.tanh(v), _L), 0.3, 2.0),
+    "cyclic-F": (lambda v: legendre.cyclic_case(1.0 / 3.0, v, _F),
+                 lambda v: (0.0, 1.0 / 3.0, math.tanh(v), _F), -1.5, 1.5),
+    "dihedral-L": (lambda v: legendre.dihedral_case(1.0 / 6.0, v, _L),
+                   lambda v: (1.0 / 6.0, 0.5, math.cosh(v), _L), 0.2, 2.0),
+    "dihedral-F": (lambda v: legendre.dihedral_case(1.0 / 6.0, v, _F),
+                   lambda v: (1.0 / 6.0, 0.5, math.cos(v), _F), 0.3, 2.8),
+    "octahedral+-L": (lambda v: legendre.octahedral_p(1, v, _L),
+                      lambda v: (-1.0 / 6.0, 0.25, math.cosh(v), _L), 0.2, 2.0),
+    "octahedral+-F": (lambda v: legendre.octahedral_p(1, v, _F),
+                      lambda v: (-1.0 / 6.0, 0.25, math.cos(v), _F), 0.3, 2.8),
+    "octahedral--L": (lambda v: legendre.octahedral_p(-1, v, _L),
+                      lambda v: (-1.0 / 6.0, -0.25, math.cosh(v), _L), 0.2, 2.0),
+    "octahedral--F": (lambda v: legendre.octahedral_p(-1, v, _F),
+                      lambda v: (-1.0 / 6.0, -0.25, math.cos(v), _F), 0.3, 2.8),
+    "tetrahedral+-L": (lambda v: legendre.tetrahedral_p(1, v, _L),
+                       lambda v: (-0.25, 1.0 / 3.0, 1.0 / math.tanh(v), _L), 0.3, 2.0),
+    "tetrahedral+-F": (lambda v: legendre.tetrahedral_p(1, v, _F),
+                       lambda v: (-0.25, 1.0 / 3.0, math.tanh(v), _F), -1.5, 1.5),
+    "tetrahedral--L": (lambda v: legendre.tetrahedral_p(-1, v, _L),
+                       lambda v: (-0.25, -1.0 / 3.0, 1.0 / math.tanh(v), _L), 0.3, 2.0),
+    "tetrahedral--F": (lambda v: legendre.tetrahedral_p(-1, v, _F),
+                       lambda v: (-0.25, -1.0 / 3.0, math.tanh(v), _F), -1.5, 1.5),
+}
+
+# lam, theta, phi, t and the kernel's argument z~ at the point, rounded for the report
+_KERNEL_CASES = tuple(
+    (lam, theta, phi, t, round(poisson.kernel_arguments(poisson.KernelArgs(lam, theta, phi, t))[0], 4))
+    for lam in (0.25, 1.0 / 6.0)
+    for theta, phi, t in ((1.0, 1.7, 0.15), (1.2, 2.0, -0.2), (0.8, 0.8, 0.1),
+                          (math.pi / 2.0, math.pi / 2.0, -0.15))
+)
 
 
 # -- catalog ----------------------------------------------------------------------
@@ -402,14 +306,28 @@ CATALOG: tuple[IdentityEntry, ...] = (
         lambda row, x, t, order: genfun.substitution_table(x, t, row).reconstruction_dev, ("row", "x", "t"), "x",
         ((1, (2.0,), 0.1), (2, (0.5,), 0.1), (3, (2.0,), 0.1), (4, (0.5,), 0.1),
          (5, (0.5,), 0.2), (6, (2.0,), 0.2), (7, (0.5,), 0.1), (8, (2.0,), 0.1))),
-    IdentityEntry("legendre.closedforms", "closed forms agree with the hypergeometric definition on 10-point grids", _run_closed_forms),
-    IdentityEntry("poisson.kernel", "Poisson kernel closed form vs bilinear sum and variant agreement", _run_kernel(True)),
-    IdentityEntry("poisson.companion", "companion kernel closed form vs bilinear sum and variant agreement", _run_kernel(False)),
-    IdentityEntry("poisson.operator", "weight map (lam+n)/lam links companion and kernel coefficients", _run_operator),
-    IdentityEntry("poisson.quarter", "quarter-parameter kernel through complete elliptic integrals", _run_quarter_kernel),
-    IdentityEntry("elliptic.quarter", "2F1(1/4,5/4;1/2;w) expressed through K and E at (1±sqrt(w))/2", _run_elliptic_quarter),
-    IdentityEntry("elliptic.k2f1", "(2/pi) K(m) equals 2F1(1/2,1/2;1;m)", _run_k_2f1),
-    IdentityEntry("elliptic.legendre", "Legendre relation between K and E", _run_legendre_relation),
+    IdentityEntry("legendre.closedforms", "closed forms agree with the hypergeometric definition on 10-point grids",
+        lambda case, grid, order: _closed_form_deviation(*_CLOSED_FORMS[case]), ("case", "grid"), None,
+        tuple((case, "10-point") for case in _CLOSED_FORMS)),
+    IdentityEntry("poisson.kernel", "Poisson kernel closed form vs bilinear sum and variant agreement",
+        lambda *a: _kernel_deviation(True, *a), ("lam", "theta", "phi", "t", "arg"), None, _KERNEL_CASES),
+    IdentityEntry("poisson.companion", "companion kernel closed form vs bilinear sum and variant agreement",
+        lambda *a: _kernel_deviation(False, *a), ("lam", "theta", "phi", "t", "arg"), None, _KERNEL_CASES),
+    IdentityEntry("poisson.operator", "weight map (lam+n)/lam links companion and kernel coefficients",
+        lambda *a: poisson.operator_relation_check(*a), ("lam", "theta", "phi", "order"), None,
+        tuple((lam, theta, phi) for lam in (0.25, 1.0 / 6.0) for theta, phi in ((1.0, 1.7), (0.8, 2.1)))),
+    IdentityEntry("poisson.quarter", "quarter-parameter kernel through complete elliptic integrals",
+        _quarter_kernel_deviation, ("theta", "phi", "t"), None,
+        ((math.pi / 2, math.pi / 2, -0.15), (1.2, 2.0, -0.2), (1.0, 1.3, -0.1))),
+    IdentityEntry("elliptic.quarter", "2F1(1/4,5/4;1/2;w) expressed through K and E at (1±sqrt(w))/2",
+        lambda w, order: _scaled_gap(poisson.elliptic_quarter_lhs(w), poisson.elliptic_quarter_rhs(w)),
+        ("w",), None, ((1e-6,), (0.1,), (0.25,), (0.49,))),
+    IdentityEntry("elliptic.k2f1", "(2/pi) K(m) equals 2F1(1/2,1/2;1;m)",
+        lambda m, order: _scaled_gap(
+            2.0 / math.pi * poisson.elliptic_k(m), hypergeometric.gauss_2f1_scalar(0.5, 0.5, 1.0, m).real),
+        ("m",), None, ((0.05,), (0.3,), (0.5,), (0.8,))),
+    IdentityEntry("elliptic.legendre", "Legendre relation between K and E",
+        _legendre_relation_gap, ("m",), None, ((0.1,), (0.3,), (0.5,))),
 )
 
 _BY_ID = {e.id: e for e in CATALOG}
@@ -428,10 +346,7 @@ def run_identity(
     entry = _BY_ID[identity_id]
     values = (overrides or {}).get(entry.axis)
     t0 = time.perf_counter()
-    if entry.axis is None:
-        samples = entry.check(order, tol)
-    else:
-        samples = _run_row(entry, order, tol, values)
+    samples = _run_row(entry, order, tol, values)
     ms = int(round((time.perf_counter() - t0) * 1000.0))
     params = {"tol": _fmt(tol)}
     if values is not None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 from . import catalog, legendre, poisson
@@ -88,22 +89,26 @@ def _cmd_list() -> int:
 
 
 def _cmd_verify(args) -> int:
-    defaults = {"order": catalog.DEFAULT_ORDER, "tol": catalog.DEFAULT_TOL, "format": "jsonl"}
+    cfg: dict[str, str] = {}
     if args.config:
         try:
             cfg = _read_config(args.config)
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        if "order" in cfg:
-            defaults["order"] = int(cfg["order"])
-        if "tol" in cfg:
-            defaults["tol"] = float(cfg["tol"])
-        if "format" in cfg:
-            defaults["format"] = cfg["format"]
-    order = args.order if args.order is not None else defaults["order"]
-    tol = args.tol if args.tol is not None else defaults["tol"]
-    fmt = args.format if args.format is not None else defaults["format"]
+    try:
+        order = args.order if args.order is not None else int(cfg.get("order", catalog.DEFAULT_ORDER))
+        tol = args.tol if args.tol is not None else float(cfg.get("tol", catalog.DEFAULT_TOL))
+    except ValueError as exc:
+        print(f"error: malformed config value: {exc}", file=sys.stderr)
+        return 2
+    fmt = args.format if args.format is not None else cfg.get("format", "jsonl")
+    if order < 0:
+        print(f"error: order must be a non-negative integer, got {order}", file=sys.stderr)
+        return 2
+    if not (math.isfinite(tol) and tol >= 0.0):
+        print(f"error: tol must be finite and non-negative, got {tol}", file=sys.stderr)
+        return 2
     if fmt not in ("jsonl", "csv"):
         print(f"error: unknown format {fmt!r}", file=sys.stderr)
         return 2

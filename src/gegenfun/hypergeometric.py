@@ -193,12 +193,3 @@ def pfq_terminating_all(
     steps = diffs * (num / den)
     return 1 + np.cumprod(steps, axis=1).sum(axis=1)
 
-
-def pfq_terminating(
-    n: int,
-    extra_numerators: Sequence[Scalar],
-    denominators: Sequence[Scalar],
-    u: Scalar,
-) -> complex:
-    """Finite sum of the (p+1)Fq with leading numerator -n: row n of pfq_terminating_all."""
-    return complex(pfq_terminating_all(n, extra_numerators, denominators, u)[n])

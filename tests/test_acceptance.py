@@ -8,10 +8,10 @@ import math
 
 import numpy as np
 
+from gegenfun import catalog
 from gegenfun import genfun as gf
 from gegenfun import legendre as lg
 from gegenfun import poisson as po
-from gegenfun.catalog import _closed_form_grids
 from gegenfun.gegenbauer import gegenbauer_recurrence, ordinary_gf_series
 from gegenfun.hypergeometric import gauss_2f1_scalar
 from gegenfun.series import TruncatedSeries, mixed_deviation
@@ -161,8 +161,8 @@ def test_criterion_8_u_reductions():
 
 def test_criterion_9_closed_forms_vs_oracle():
     worst = 0.0
-    for _, fn in _closed_form_grids():
-        worst = max(worst, float(fn()))
+    for form, oracle, lo, hi in catalog._CLOSED_FORMS.values():
+        worst = max(worst, float(catalog._closed_form_deviation(form, oracle, lo, hi)))
     # degree reflection on the oracle
     sym = 0.0
     for nu, mu, z, branch in [

@@ -123,6 +123,14 @@ def test_cli_override_applies_only_on_the_identity_axis(capsys):
     main(["verify", "gf1.a", "--x", "1.5"])
     record = json.loads(capsys.readouterr().out)
     assert record["params"]["x"] == "1.5"
+    # scalar rows have no axis: an override is neither applied nor recorded
+    for identity, flag in (("elliptic.k2f1", ["--x", "3"]), ("poisson.kernel", ["--u", "0.5"])):
+        main(["verify", identity])
+        default = json.loads(capsys.readouterr().out)
+        main(["verify", identity, *flag])
+        record = json.loads(capsys.readouterr().out)
+        assert record["samples"] == default["samples"]
+        assert record["params"] == {"tol": "1e-08"}
 
 
 def test_cli_verify_multiple_ids_catalog_order(capsys):
@@ -141,6 +149,31 @@ def test_cli_config_file(tmp_path, capsys):
     assert code == 0
     assert record["order"] == 10
     assert record["tol"] == 1e-6
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["verify", "alt.1", "--order", "-1"], None),
+        (["verify", "poisson.operator", "--order", "-1"], None),
+        (["verify", "alt.1", "--tol", "nan"], None),
+        (["verify", "alt.1", "--tol", "inf"], None),
+        (["verify", "alt.1", "--tol=-1e-8"], None),
+        (["verify", "alt.1"], "order = abc\n"),
+        (["verify", "alt.1"], "tol = x\n"),
+        (["verify", "alt.1"], "order = -3\n"),
+    ],
+)
+def test_cli_malformed_order_or_tol_is_a_usage_error(tmp_path, capsys, argv, config):
+    if config is not None:
+        cfg = tmp_path / "gegenfun.cfg"
+        cfg.write_text(config)
+        argv = [*argv, "--config", str(cfg)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+    assert main(["verify", "alt.1", "--order", "10"]) == 0
 
 
 def test_cli_eval_elliptic(capsys):
