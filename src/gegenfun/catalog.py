@@ -226,14 +226,14 @@ _EXTENDED_SECOND_CASES = (
 
 CATALOG: tuple[IdentityEntry, ...] = (
     IdentityEntry("gf1.a", "first generating function, square-root argument form",
-        lambda *a: genfun.first_gf_pair(*a, "a"), ("lam", "gamma", "x"), "x", _FIRST_GF_CASES),
+        lambda *a: genfun.first_gf(*a, "a"), ("lam", "gamma", "x"), "x", _FIRST_GF_CASES),
     IdentityEntry("gf1.b", "first generating function, quadratic-transformed form",
-        lambda *a: genfun.first_gf_pair(*a, "b"), ("lam", "gamma", "x"), "x", _FIRST_GF_CASES),
+        lambda *a: genfun.first_gf(*a, "b"), ("lam", "gamma", "x"), "x", _FIRST_GF_CASES),
     IdentityEntry("gf1.rewrite.a", "first family rewritten via the analytic Legendre combination, z=(1-xt)/R",
-        lambda *a: genfun.first_rewrite_pair(*a, "a"), ("nu", "mu", "x"), "x",
+        lambda *a: genfun.first_rewrite(*a, "a"), ("nu", "mu", "x"), "x",
         ((-1.0 / 6.0, 0.25, (2.0, 0.6)), (-0.25, 1.0 / 3.0, (1.5, 0.4)), (0.0, 0.25, (2.0,)), (1.8, 0.2, (1.3,)))),
     IdentityEntry("gf1.rewrite.b", "first family rewritten at fixed degree -1/4, z=2(R/(1-xt))^2-1",
-        lambda *a: genfun.first_rewrite_pair(*a, "b"), ("nu", "mu", "x"), "x",
+        lambda *a: genfun.first_rewrite(*a, "b"), ("nu", "mu", "x"), "x",
         ((-0.25, 0.25, (0.5, 1.5)), (-0.25, 1.0 / 3.0, (2.0,)), (-0.25, 0.2, (0.5,)))),
     IdentityEntry("miller.g1", "terminating finite-sum identity, R^N prefactor",
         lambda *a: genfun.miller_identities(*a, "g1"), ("lam", "N", "x"), "x", _MILLER_CASES),

@@ -4,7 +4,8 @@ Exit codes: 0 all requested checks pass, 1 at least one identity fails,
 2 usage error (unknown identity/function, malformed arguments).
 Reports are emitted in catalog order as line-delimited JSON (default) or CSV.
 An optional config file supplies defaults as `key = value` lines
-(keys: order, tol, format); explicit flags override it.
+(keys: order, tol, format; any other key is a usage error); explicit flags
+override it.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ def _parse_complex(text: str) -> complex:
     return complex(text.replace(" ", "").replace("i", "j"))
 
 
+_CONFIG_KEYS = ("order", "tol", "format")
+
+
 def _read_config(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -35,6 +39,8 @@ def _read_config(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"malformed config line: {raw.rstrip()}")
             key, value = (part.strip() for part in line.split("=", 1))
+            if key not in _CONFIG_KEYS:
+                raise ValueError(f"unknown config key {key!r}")
             out[key] = value
     return out
 

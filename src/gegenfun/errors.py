@@ -13,10 +13,6 @@ class ZeroConstantTerm(GegenfunError):
     """Fractional power of a series whose constant term is (numerically) zero."""
 
 
-class OddValuation(GegenfunError):
-    """Square root of a series whose leading power of t is odd."""
-
-
 class NonvanishingInner(GegenfunError):
     """Composition with an inner series that does not vanish at t = 0."""
 

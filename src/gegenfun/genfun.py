@@ -6,8 +6,18 @@ the polynomial 1 - (2-u)xt + (1-u)t**2.
 
 Every builder returns series truncated to the requested order; internal work
 happens at a slightly higher order so that valuation-shifting divisions never
-eat into the reported window.  The two quarter-family closed-form examples
-(radical expressions in e**xi) need special care:
+eat into the reported window.
+
+Left sides are weighted Gegenbauer sums (`lhs_ratio`, `lhs_extended_first`,
+`lhs_lemma`), each rejecting an excluded lam.  Each parameter relation has one
+home, shared by both sides and the u-extensions: the weights of each family
+(`_first_weights`, `_second_weights`, `_alt_weights`), the 2F1 triples of the
+square-root form "a" and the transformed form "b" (`_gauss_triple`), the
+rewrites' (lam, gamma) (`_rewrite_params`) and Miller's pair gamma in
+{-N, 2 lam + N} (`_miller_gammas`).  They raise on an unknown variant or which.
+
+The two quarter-family closed-form examples (radical expressions in e**xi)
+need special care:
 
 * e**xi = (1 - (x - sqrt(x**2-1)) t) / R has constant term 1 (xi -> 0 with t),
   so sinh(xi)/sinh(xi/3) is a 0/0 ratio resolved by the valuation shift.
@@ -29,12 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainMismatch, UncancelledPole
-from .gegenbauer import (
-    check_lambda,
-    gegenbauer_of_series,
-    gegenbauer_recurrence,
-    gegenbauer_weighted_series,
-)
+from .gegenbauer import check_lambda, gegenbauer_of_series, gegenbauer_weighted_series
 from .hypergeometric import gamma_fn, gauss_2f1_series, pfq_terminating_all, pochhammer
 from .legendre import legendre_analytic_series
 from .series import DTYPE, TruncatedSeries, _shift_down, _shift_up, div, pow_alpha
@@ -72,10 +77,16 @@ def _t(order: int) -> TruncatedSeries:
 # -- left-hand sides: weight families times Gegenbauer values -------------------
 
 
-def _weights_pochhammer_ratio(
-    numerators: tuple[Scalar, ...], denominators: tuple[Scalar, ...], order: int
-) -> np.ndarray:
-    """w_n = prod (a_i)_n / prod (b_j)_n, built incrementally (exact termination)."""
+def lhs_ratio(
+    lam: float,
+    numerators: tuple[Scalar, ...],
+    denominators: tuple[Scalar, ...],
+    x: Scalar,
+    order: int,
+) -> TruncatedSeries:
+    """sum_n (prod (c_i)_n / prod (d_j)_n) C_n(x) t**n; the weights are built
+    incrementally, so a terminating numerator gives exact zeros."""
+    check_lambda(lam)
     w = np.zeros(order + 1, dtype=DTYPE)
     w[0] = 1.0
     for n in range(1, order + 1):
@@ -85,32 +96,6 @@ def _weights_pochhammer_ratio(
         for b in denominators:
             f /= b + n - 1
         w[n] = f
-    return w
-
-
-def lhs_first_gf(lam: float, gamma: Scalar, x: Scalar, order: int) -> TruncatedSeries:
-    """sum_n ((gamma)_n/(2 lam)_n) C_n(x) t**n."""
-    check_lambda(lam)
-    w = _weights_pochhammer_ratio((gamma,), (2.0 * lam,), order)
-    return gegenbauer_weighted_series(lam, x, order, w)
-
-
-def lhs_second_gf(lam: float, gamma: Scalar, x: Scalar, order: int) -> TruncatedSeries:
-    """sum_n ((gamma)_n (2 lam - gamma)_n / ((2 lam)_n (lam + 1/2)_n)) C_n(x) t**n."""
-    check_lambda(lam)
-    w = _weights_pochhammer_ratio(
-        (gamma, 2.0 * lam - gamma), (2.0 * lam, lam + 0.5), order
-    )
-    return gegenbauer_weighted_series(lam, x, order, w)
-
-
-def lhs_alt_gf(lam: float, x: Scalar, order: int, which: int) -> TruncatedSeries:
-    """sum_n ((lam ± 1/2)_n/(2 lam)_n) C_n(x) t**n (which = 1 -> +, 2 -> -)."""
-    check_lambda(lam)
-    if which not in (1, 2):
-        raise ValueError(f"unknown which {which!r}")
-    shift = 0.5 if which == 1 else -0.5
-    w = _weights_pochhammer_ratio((lam + shift,), (2.0 * lam,), order)
     return gegenbauer_weighted_series(lam, x, order, w)
 
 
@@ -140,14 +125,6 @@ def lhs_extended_first(
     return gegenbauer_weighted_series(lam, x, order, w)
 
 
-def lhs_extended_second(
-    lam: float, gamma: Scalar, u: Scalar, x: Scalar, order: int
-) -> TruncatedSeries:
-    """Weights 3F2(-n, gamma, 2 lam - gamma; 2 lam, lam + 1/2; u)."""
-    check_lambda(lam)
-    return lhs_lemma(lam, (gamma, 2.0 * lam - gamma), (2.0 * lam, lam + 0.5), u, x, order)
-
-
 def lhs_lemma(
     lam: float,
     numerators: tuple[Scalar, ...],
@@ -157,48 +134,96 @@ def lhs_lemma(
     order: int,
 ) -> TruncatedSeries:
     """Weights (p+1)Fq(-n, c_1..c_p; d_1..d_q; u)."""
+    check_lambda(lam)
     w = pfq_terminating_all(order, numerators, denominators, u)
     return gegenbauer_weighted_series(lam, x, order, w)
+
+
+# -- family parameters ---------------------------------------------------------------
+
+
+def _first_weights(lam: float, gamma: Scalar) -> tuple[tuple, tuple]:
+    """(gamma)_n / (2 lam)_n."""
+    return (gamma,), (2.0 * lam,)
+
+
+def _second_weights(lam: float, gamma: Scalar) -> tuple[tuple, tuple]:
+    """(gamma)_n (2 lam - gamma)_n / ((2 lam)_n (lam + 1/2)_n)."""
+    a, b, c = _gauss_triple(lam, gamma, "a")
+    return (a, b), (2.0 * lam, c)
+
+
+def _alt_weights(lam: float, which: int) -> tuple[tuple, tuple]:
+    """(lam + 1/2)_n / (2 lam)_n (which = 1) or (lam - 1/2)_n / (2 lam)_n (which = 2)."""
+    if which not in (1, 2):
+        raise ValueError(f"unknown which {which!r}")
+    return (lam + 0.5 if which == 1 else lam - 0.5,), (2.0 * lam,)
+
+
+def _gauss_triple(lam: float, gamma: Scalar, variant: str) -> tuple[Scalar, Scalar, Scalar]:
+    """The 2F1 parameters of the square-root form "a", (gamma, 2 lam - gamma;
+    lam + 1/2), and of the quadratic-transformed form "b", (gamma/2,
+    gamma/2 + 1/2; lam + 1/2)."""
+    c = lam + 0.5
+    if variant == "a":
+        return gamma, 2.0 * lam - gamma, c
+    if variant == "b":
+        return gamma / 2.0, gamma / 2.0 + 0.5, c
+    raise ValueError(f"unknown variant {variant!r}")
+
+
+def _rewrite_params(nu: float, mu: float, variant: str) -> tuple[float, float]:
+    """The (lam, gamma) of the Legendre rewrites: lam = 1/2 - mu with
+    gamma = -nu - mu (variant "a") or gamma = 1/2 - 2 mu (variant "b")."""
+    if variant == "a":
+        return 0.5 - mu, -nu - mu
+    if variant == "b":
+        return 0.5 - mu, 0.5 - 2.0 * mu
+    raise ValueError(f"unknown variant {variant!r}")
+
+
+def _miller_gammas(lam: float, big_n: int, which: str, names: tuple[str, str]) -> tuple[float, float]:
+    """Miller's pair gamma in {-N, 2 lam + N}: the value named by `which`
+    (names[0] picks -N), then the other one."""
+    check_lambda(lam)
+    if big_n < 0:
+        raise ValueError("N must be non-negative")
+    pair = (-float(big_n), 2.0 * lam + big_n)
+    if which == names[0]:
+        return pair
+    if which == names[1]:
+        return pair[::-1]
+    raise ValueError(f"unknown which {which!r}")
 
 
 # -- first generating function ---------------------------------------------------
 
 
-def rhs_first_gf_a(lam: float, gamma: Scalar, x: Scalar, order: int) -> TruncatedSeries:
-    """R**(-gamma) 2F1(gamma, 2 lam - gamma; lam + 1/2; (R - 1 + xt)/(2R))."""
-    wo = order + 2
-    r2 = _r2(x, wo)
-    r = pow_alpha(r2, 0.5)
-    arg = div(r + TruncatedSeries.from_polynomial([-1.0, x], wo), 2.0 * r)
-    f = gauss_2f1_series(gamma, 2.0 * lam - gamma, lam + 0.5, arg)
-    return (pow_alpha(r2, -gamma / 2.0) * f).truncate(order)
-
-
-def rhs_first_gf_b(lam: float, gamma: Scalar, x: Scalar, order: int) -> TruncatedSeries:
-    """(1-xt)**(-gamma) 2F1(gamma/2, gamma/2 + 1/2; lam + 1/2; (x**2-1)t**2/(1-xt)**2)."""
-    wo = order + 2
-    omxt = _one_minus_xt(x, wo)
-    num = TruncatedSeries.from_polynomial([0.0, 0.0, x * x - 1.0], wo)
-    arg = div(num, omxt * omxt)
-    f = gauss_2f1_series(gamma / 2.0, gamma / 2.0 + 0.5, lam + 0.5, arg)
-    return (pow_alpha(omxt, -gamma) * f).truncate(order)
-
-
-def first_gf_pair(
+def first_gf(
     lam: float, gamma: Scalar, x: Scalar, order: int, variant: str = "a"
 ) -> tuple[TruncatedSeries, TruncatedSeries]:
-    if variant not in ("a", "b"):
-        raise ValueError(f"unknown variant {variant!r}")
-    lhs = lhs_first_gf(lam, gamma, x, order)
-    rhs = rhs_first_gf_a(lam, gamma, x, order) if variant == "a" else rhs_first_gf_b(
-        lam, gamma, x, order
-    )
-    return lhs, rhs
+    """sum_n ((gamma)_n/(2 lam)_n) C_n(x) t**n against, for variant "a",
+    R**(-gamma) 2F1(gamma, 2 lam - gamma; lam + 1/2; (R - 1 + xt)/(2R)), or,
+    for variant "b", (1-xt)**(-gamma) 2F1(gamma/2, gamma/2 + 1/2; lam + 1/2;
+    (x**2-1)t**2/(1-xt)**2)."""
+    triple = _gauss_triple(lam, gamma, variant)
+    lhs = lhs_ratio(lam, *_first_weights(lam, gamma), x, order)
+    wo = order + 2
+    if variant == "a":
+        r2 = _r2(x, wo)
+        r = pow_alpha(r2, 0.5)
+        arg = div(r + TruncatedSeries.from_polynomial([-1.0, x], wo), 2.0 * r)
+        rhs = pow_alpha(r2, -gamma / 2.0) * gauss_2f1_series(*triple, arg)
+    else:
+        omxt = _one_minus_xt(x, wo)
+        num = TruncatedSeries.from_polynomial([0.0, 0.0, x * x - 1.0], wo)
+        rhs = pow_alpha(omxt, -gamma) * gauss_2f1_series(*triple, div(num, omxt * omxt))
+    return lhs, rhs.truncate(order)
 
 
-def rhs_rewrite_legendre(
+def first_rewrite(
     nu: float, mu: float, x: Scalar, order: int, variant: str = "a"
-) -> TruncatedSeries:
+) -> tuple[TruncatedSeries, TruncatedSeries]:
     """The first generating function written through the degree-nu, order-mu
     Legendre combination analytic at argument 1.
 
@@ -206,50 +231,35 @@ def rhs_rewrite_legendre(
     z = 2(R/(1-xt))**2 - 1 with fixed degree -1/4 and prefactor
     (1-xt)**(2 mu - 1/2).  The nu argument is ignored for variant "b".
     """
+    lam, gamma = _rewrite_params(nu, mu, variant)
+    lhs = lhs_ratio(lam, *_first_weights(lam, gamma), x, order)
     wo = order + 2
     r2 = _r2(x, wo)
+    omxt = _one_minus_xt(x, wo)
     scale = 2.0**-mu * gamma_fn(1.0 - mu)
     if variant == "a":
-        z = _one_minus_xt(x, wo) * pow_alpha(r2, -0.5)
-        f = legendre_analytic_series(nu, mu, z)
-        return (scale * pow_alpha(r2, (nu + mu) / 2.0) * f).truncate(order)
-    if variant == "b":
-        omxt = _one_minus_xt(x, wo)
-        z = 2.0 * div(r2, omxt * omxt) - 1.0
-        f = legendre_analytic_series(-0.25, mu, z)
-        return (scale * pow_alpha(omxt, 2.0 * mu - 0.5) * f).truncate(order)
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-def first_rewrite_pair(
-    nu: float, mu: float, x: Scalar, order: int, variant: str = "a"
-) -> tuple[TruncatedSeries, TruncatedSeries]:
-    gamma = -nu - mu if variant == "a" else 0.5 - 2.0 * mu
-    lhs = lhs_first_gf(0.5 - mu, gamma, x, order)
-    return lhs, rhs_rewrite_legendre(nu, mu, x, order, variant)
+        f = legendre_analytic_series(nu, mu, omxt * pow_alpha(r2, -0.5))
+        rhs = scale * pow_alpha(r2, (nu + mu) / 2.0) * f
+    else:
+        f = legendre_analytic_series(-0.25, mu, 2.0 * div(r2, omxt * omxt) - 1.0)
+        rhs = scale * pow_alpha(omxt, 2.0 * mu - 0.5) * f
+    return lhs, rhs.truncate(order)
 
 
 def miller_identities(
     lam: float, big_n: int, x: Scalar, order: int, which: str = "g1"
 ) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """Finite-sum identity (g1) and its companion (g2) from the reducible case."""
-    check_lambda(lam)
-    if big_n < 0:
-        raise ValueError("N must be non-negative")
+    """Finite-sum identity (g1, gamma = -N) and its companion (g2,
+    gamma = 2 lam + N) from the reducible case: the first generating function
+    against N!/(2 lam)_N R**(-gamma) C_N((1-xt)/R)."""
+    gamma, _ = _miller_gammas(lam, big_n, which, ("g1", "g2"))
+    lhs = lhs_ratio(lam, *_first_weights(lam, gamma), x, order)
     wo = order + 2
     r2 = _r2(x, wo)
     z = _one_minus_xt(x, wo) * pow_alpha(r2, -0.5)
     cn = gegenbauer_of_series(lam, big_n, z)
     scale = math.factorial(big_n) / pochhammer(2.0 * lam, big_n)
-    if which == "g1":
-        lhs = lhs_first_gf(lam, -float(big_n), x, order)
-        rhs = scale * pow_alpha(r2, big_n / 2.0) * cn
-    elif which == "g2":
-        lhs = lhs_first_gf(lam, 2.0 * lam + big_n, x, order)
-        rhs = scale * pow_alpha(r2, -(2.0 * lam + big_n) / 2.0) * cn
-    else:
-        raise ValueError(f"unknown which {which!r}")
-    return lhs, rhs.truncate(order)
+    return lhs, (scale * pow_alpha(r2, -gamma / 2.0) * cn).truncate(order)
 
 
 def alt_gf(
@@ -257,16 +267,14 @@ def alt_gf(
 ) -> tuple[TruncatedSeries, TruncatedSeries]:
     """Alternative generating function ((1+R-xt)/2)**(1/2-lam), with (which=1)
     or without (which=2) the extra R**(-1)."""
-    check_lambda(lam)
-    if which not in (1, 2):
-        raise ValueError(f"unknown which {which!r}")
+    lhs = lhs_ratio(lam, *_alt_weights(lam, which), x, order)
     wo = order + 2
     r2 = _r2(x, wo)
     r = pow_alpha(r2, 0.5)
     body = (r + TruncatedSeries.from_polynomial([1.0, -x], wo)) * 0.5
     powed = pow_alpha(body, 0.5 - lam)
     rhs = pow_alpha(r2, -0.5) * powed if which == 1 else powed
-    return lhs_alt_gf(lam, x, order, which), rhs.truncate(order)
+    return lhs, rhs.truncate(order)
 
 
 # -- the two explicit radical examples -------------------------------------------
@@ -281,7 +289,7 @@ def octahedral_example(
     if abs(x) <= 1.0:
         raise DomainMismatch("the hyperbolic substitution needs |x| > 1")
     wo = order + 4
-    lhs = lhs_first_gf(0.25, -1.0 / 12.0, x, order)
+    lhs = lhs_ratio(0.25, *_first_weights(0.25, -1.0 / 12.0), x, order)
     r2 = _r2(x, wo)
     sq = cmath.sqrt(complex(x) ** 2 - 1.0)
     e = TruncatedSeries.from_polynomial([1.0, -(x - sq)], wo) * pow_alpha(r2, -0.5)
@@ -381,7 +389,7 @@ def tetrahedral_example(
         raise DomainMismatch("the hyperbolic substitution needs |x| > 1")
     if not hyper and abs(x) >= 1.0:
         raise DomainMismatch("the circular substitution needs |x| < 1")
-    lhs = lhs_first_gf(1.0 / 6.0, -1.0 / 12.0, x, order)
+    lhs = lhs_ratio(1.0 / 6.0, *_first_weights(1.0 / 6.0, -1.0 / 12.0), x, order)
 
     so = 3 * order + 12  # working order in s = t**(1/3)
     r2s = TruncatedSeries.from_polynomial(
@@ -453,48 +461,38 @@ def _reconstruct_z(trig: str, half: bool, v: complex) -> complex:
     return (v - w) / (v + w)  # tanh
 
 
+# row -> (z form, trig, half argument, needs |x| > 1, the exponential at
+# (x, t, R, 1 - xt, sqrt|x**2 - 1|))
+_SUBSTITUTIONS = {
+    1: (ZForm.RATIO, "cosh", False, True, lambda x, t, r, omxt, sq: (1.0 - (x - sq) * t) / r),
+    2: (ZForm.RATIO, "cos", False, False, lambda x, t, r, omxt, sq: (1.0 - (x - 1j * sq) * t) / r),
+    3: (ZForm.RATIO, "coth", False, True, lambda x, t, r, omxt, sq: t * sq / (1.0 - r - x * t)),
+    4: (ZForm.RATIO, "tanh", False, False, lambda x, t, r, omxt, sq: t * sq / (-1.0 + r + x * t)),
+    5: (ZForm.SQUARED, "cosh", True, False, lambda x, t, r, omxt, sq: omxt / (r - t * sq)),
+    6: (ZForm.SQUARED, "cos", True, True, lambda x, t, r, omxt, sq: omxt / (r - 1j * t * sq)),
+    7: (ZForm.SQUARED, "coth", False, False, lambda x, t, r, omxt, sq: r / (t * sq)),
+    8: (ZForm.SQUARED, "tanh", False, True, lambda x, t, r, omxt, sq: r / (t * sq)),
+}
+
+
 def substitution_table(x: float, t: float, row: int) -> SubstitutionRow:
     """Exponential substitutions matching each trig parametrization of the two
     Legendre arguments; the returned value is checked to reconstruct z."""
-    if not 1 <= row <= 8:
+    if row not in _SUBSTITUTIONS:
         raise ValueError("row must be 1..8")
+    form, trig, half, need_hyper, exp_value = _SUBSTITUTIONS[row]
     r2 = 1.0 - 2.0 * x * t + t * t
     if r2 <= 0.0:
         raise DomainMismatch("R**2 <= 0 at this (x, t)")
     r = math.sqrt(r2)
     omxt = 1.0 - x * t
-    need_hyper = row in (1, 3, 6, 8)
     if need_hyper and abs(x) <= 1.0:
         raise DomainMismatch(f"row {row} needs |x| > 1")
     if not need_hyper and abs(x) >= 1.0:
         raise DomainMismatch(f"row {row} needs |x| < 1")
     if row in (7, 8) and t == 0.0:
         raise DomainMismatch(f"row {row} needs t != 0")
-    sq_h = math.sqrt(abs(x * x - 1.0))
-    if row == 1:
-        form, trig, half = ZForm.RATIO, "cosh", False
-        val: complex = (1.0 - (x - sq_h) * t) / r
-    elif row == 2:
-        form, trig, half = ZForm.RATIO, "cos", False
-        val = (1.0 - (x - 1j * sq_h) * t) / r
-    elif row == 3:
-        form, trig, half = ZForm.RATIO, "coth", False
-        val = t * sq_h / (1.0 - r - x * t)
-    elif row == 4:
-        form, trig, half = ZForm.RATIO, "tanh", False
-        val = t * sq_h / (-1.0 + r + x * t)
-    elif row == 5:
-        form, trig, half = ZForm.SQUARED, "cosh", True
-        val = omxt / (r - t * sq_h)
-    elif row == 6:
-        form, trig, half = ZForm.SQUARED, "cos", True
-        val = omxt / (r - 1j * t * sq_h)
-    elif row == 7:
-        form, trig, half = ZForm.SQUARED, "coth", False
-        val = r / (t * sq_h)
-    else:
-        form, trig, half = ZForm.SQUARED, "tanh", False
-        val = r / (t * sq_h)
+    val = exp_value(x, t, r, omxt, math.sqrt(abs(x * x - 1.0)))
     z = omxt / r if form is ZForm.RATIO else 2.0 * (r / omxt) ** 2 - 1.0
     zr = _reconstruct_z(trig, half, val)
     rdev = abs(zr - z) / max(1.0, abs(z))
@@ -513,22 +511,18 @@ def extended_first_gf(
     lam: float, gamma: Scalar, u: Scalar, x: Scalar, order: int, variant: str = "a"
 ) -> tuple[TruncatedSeries, TruncatedSeries]:
     """u-extension of the first generating function (u = 1 recovers it)."""
+    triple = _gauss_triple(lam, gamma, variant)
     lhs = lhs_extended_first(lam, gamma, u, x, order)
     wo = order + 2
     r2, u2, q = _r2(x, wo), _u2(u, x, wo), _q_poly(u, x, wo)
     if variant == "a":
-        r, us = pow_alpha(r2, 0.5), pow_alpha(u2, 0.5)
-        ur = us * r
-        arg = div(ur - q, 2.0 * ur)
-        f = gauss_2f1_series(gamma, 2.0 * lam - gamma, lam + 0.5, arg)
+        ur = pow_alpha(u2, 0.5) * pow_alpha(r2, 0.5)
+        f = gauss_2f1_series(*triple, div(ur - q, 2.0 * ur))
         rhs = pow_alpha(u2, (gamma - 2.0 * lam) / 2.0) * pow_alpha(r2, -gamma / 2.0) * f
-    elif variant == "b":
-        qq = q * q
-        arg = div(qq - u2 * r2, qq)
-        f = gauss_2f1_series(gamma / 2.0, gamma / 2.0 + 0.5, lam + 0.5, arg)
-        rhs = pow_alpha(u2, gamma - lam) * pow_alpha(q, -gamma) * f
     else:
-        raise ValueError(f"unknown variant {variant!r}")
+        qq = q * q
+        f = gauss_2f1_series(*triple, div(qq - u2 * r2, qq))
+        rhs = pow_alpha(u2, gamma - lam) * pow_alpha(q, -gamma) * f
     return lhs, rhs.truncate(order)
 
 
@@ -536,51 +530,33 @@ def extended_rewrite(
     nu: float, mu: float, u: Scalar, x: Scalar, order: int, variant: str = "a"
 ) -> tuple[TruncatedSeries, TruncatedSeries]:
     """u-extension of the Legendre rewrite (u = 1 recovers it)."""
+    lhs = lhs_extended_first(*_rewrite_params(nu, mu, variant), u, x, order)
     wo = order + 2
     r2, u2, q = _r2(x, wo), _u2(u, x, wo), _q_poly(u, x, wo)
     scale = 2.0**-mu * gamma_fn(1.0 - mu)
     if variant == "a":
-        lhs = lhs_extended_first(0.5 - mu, -nu - mu, u, x, order)
-        ur = pow_alpha(u2, 0.5) * pow_alpha(r2, 0.5)
-        z = div(q, ur)
-        f = legendre_analytic_series(nu, mu, z)
-        rhs = (
-            scale
-            * pow_alpha(u2, (-nu + mu - 1.0) / 2.0)
-            * pow_alpha(r2, (nu + mu) / 2.0)
-            * f
-        )
-    elif variant == "b":
-        lhs = lhs_extended_first(0.5 - mu, 0.5 - 2.0 * mu, u, x, order)
-        qq = q * q
-        z = 2.0 * div(u2 * r2, qq) - 1.0
-        f = legendre_analytic_series(-0.25, mu, z)
-        rhs = scale * pow_alpha(u2, -mu) * pow_alpha(q, 2.0 * mu - 0.5) * f
+        f = legendre_analytic_series(nu, mu, div(q, pow_alpha(u2, 0.5) * pow_alpha(r2, 0.5)))
+        rhs = scale * pow_alpha(u2, (-nu + mu - 1.0) / 2.0) * pow_alpha(r2, (nu + mu) / 2.0) * f
     else:
-        raise ValueError(f"unknown variant {variant!r}")
+        f = legendre_analytic_series(-0.25, mu, 2.0 * div(u2 * r2, q * q) - 1.0)
+        rhs = scale * pow_alpha(u2, -mu) * pow_alpha(q, 2.0 * mu - 0.5) * f
     return lhs, rhs.truncate(order)
 
 
 def extended_miller(
     lam: float, big_n: int, u: Scalar, x: Scalar, order: int, which: str = "plus"
 ) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """u-extension of the finite-sum identities (u = 1 recovers them)."""
-    check_lambda(lam)
-    if big_n < 0:
-        raise ValueError("N must be non-negative")
+    """u-extension of the finite-sum identities (u = 1 recovers them): with
+    gamma = -N ("plus") or 2 lam + N ("minus") and gamma' the other value,
+    the right side is N!/(2 lam)_N U**(-gamma') R**(-gamma) C_N(Q/(UR))."""
+    gamma, gamma_other = _miller_gammas(lam, big_n, which, ("plus", "minus"))
+    lhs = lhs_extended_first(lam, gamma, u, x, order)
     wo = order + 2
     r2, u2, q = _r2(x, wo), _u2(u, x, wo), _q_poly(u, x, wo)
     z = div(q, pow_alpha(u2, 0.5) * pow_alpha(r2, 0.5))
     cn = gegenbauer_of_series(lam, big_n, z)
     scale = math.factorial(big_n) / pochhammer(2.0 * lam, big_n)
-    if which == "plus":
-        lhs = lhs_extended_first(lam, -float(big_n), u, x, order)
-        rhs = scale * pow_alpha(u2, -(2.0 * lam + big_n) / 2.0) * pow_alpha(r2, big_n / 2.0) * cn
-    elif which == "minus":
-        lhs = lhs_extended_first(lam, 2.0 * lam + big_n, u, x, order)
-        rhs = scale * pow_alpha(u2, big_n / 2.0) * pow_alpha(r2, -(2.0 * lam + big_n) / 2.0) * cn
-    else:
-        raise ValueError(f"unknown which {which!r}")
+    rhs = scale * pow_alpha(u2, -gamma_other / 2.0) * pow_alpha(r2, -gamma / 2.0) * cn
     return lhs, rhs.truncate(order)
 
 
@@ -653,25 +629,21 @@ def second_gf(
     lam: float, gamma: Scalar, x: Scalar, order: int, variant: str = "a"
 ) -> tuple[TruncatedSeries, TruncatedSeries]:
     """Product-of-two-2F1 generating function."""
-    lhs = lhs_second_gf(lam, gamma, x, order)
+    triple = _gauss_triple(lam, gamma, variant)
+    lhs = lhs_ratio(lam, *_second_weights(lam, gamma), x, order)
     wo = order + 2
-    r2 = _r2(x, wo)
-    r = pow_alpha(r2, 0.5)
+    r = pow_alpha(_r2(x, wo), 0.5)
     t = _t(wo)
     if variant == "a":
-        f1 = gauss_2f1_series(gamma, 2.0 * lam - gamma, lam + 0.5, (1.0 - r - t) * 0.5)
-        f2 = gauss_2f1_series(gamma, 2.0 * lam - gamma, lam + 0.5, (1.0 - r + t) * 0.5)
+        f1 = gauss_2f1_series(*triple, (1.0 - r - t) * 0.5)
+        f2 = gauss_2f1_series(*triple, (1.0 - r + t) * 0.5)
         rhs = f1 * f2
-    elif variant == "b":
+    else:
         rp, rm = r + t, r - t
-        argp = div(rp * rp - 1.0, rp * rp)
-        argm = div(rm * rm - 1.0, rm * rm)
-        f1 = gauss_2f1_series(gamma / 2.0, gamma / 2.0 + 0.5, lam + 0.5, argp)
-        f2 = gauss_2f1_series(gamma / 2.0, gamma / 2.0 + 0.5, lam + 0.5, argm)
+        f1 = gauss_2f1_series(*triple, div(rp * rp - 1.0, rp * rp))
+        f2 = gauss_2f1_series(*triple, div(rm * rm - 1.0, rm * rm))
         pref = pow_alpha(TruncatedSeries.from_polynomial([1.0, -2.0 * x], wo), -gamma)
         rhs = pref * f1 * f2
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
     return lhs, rhs.truncate(order)
 
 
@@ -680,27 +652,22 @@ def extended_second_gf(
 ) -> tuple[TruncatedSeries, TruncatedSeries]:
     """u-extension of the second generating function (u = 0 degenerates to the
     ordinary generating function)."""
-    lhs = lhs_extended_second(lam, gamma, u, x, order)
+    triple = _gauss_triple(lam, gamma, variant)
+    lhs = lhs_lemma(lam, *_second_weights(lam, gamma), u, x, order)
     wo = order + 2
     r2, u2 = _r2(x, wo), _u2(u, x, wo)
     r, us = pow_alpha(r2, 0.5), pow_alpha(u2, 0.5)
     ut = _t(wo) * u
     if variant == "a":
-        argp = div(r - us + ut, 2.0 * r)
-        argm = div(r - us - ut, 2.0 * r)
-        f1 = gauss_2f1_series(gamma, 2.0 * lam - gamma, lam + 0.5, argp)
-        f2 = gauss_2f1_series(gamma, 2.0 * lam - gamma, lam + 0.5, argm)
+        f1 = gauss_2f1_series(*triple, div(r - us + ut, 2.0 * r))
+        f2 = gauss_2f1_series(*triple, div(r - us - ut, 2.0 * r))
         rhs = pow_alpha(r2, -lam) * f1 * f2
-    elif variant == "b":
+    else:
         um, up = us - ut, us + ut
-        argp = div(up * up - r2, up * up)
-        argm = div(um * um - r2, um * um)
-        f1 = gauss_2f1_series(gamma / 2.0, gamma / 2.0 + 0.5, lam + 0.5, argm)
-        f2 = gauss_2f1_series(gamma / 2.0, gamma / 2.0 + 0.5, lam + 0.5, argp)
+        f1 = gauss_2f1_series(*triple, div(um * um - r2, um * um))
+        f2 = gauss_2f1_series(*triple, div(up * up - r2, up * up))
         pref = pow_alpha(u2 - ut * ut, -gamma) * pow_alpha(r2, gamma - lam)
         rhs = pref * f1 * f2
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
     return lhs, rhs.truncate(order)
 
 
@@ -708,18 +675,15 @@ def second_rewrite(
     nu: float, mu: float, x: Scalar, order: int, variant: str = "a"
 ) -> tuple[TruncatedSeries, TruncatedSeries]:
     """Second generating function through the analytic Legendre combination."""
+    lam, gamma = _rewrite_params(nu, mu, variant)
+    lhs = lhs_ratio(lam, *_second_weights(lam, gamma), x, order)
     wo = order + 2
-    r2 = _r2(x, wo)
-    r = pow_alpha(r2, 0.5)
+    r = pow_alpha(_r2(x, wo), 0.5)
     t = _t(wo)
     scale = 2.0 ** (-2.0 * mu) * gamma_fn(1.0 - mu) ** 2
     if variant == "a":
-        lhs = lhs_second_gf(0.5 - mu, -nu - mu, x, order)
-        rhs = scale * legendre_analytic_series(nu, mu, r + t) * legendre_analytic_series(
-            nu, mu, r - t
-        )
-    elif variant == "b":
-        lhs = lhs_second_gf(0.5 - mu, 0.5 - 2.0 * mu, x, order)
+        rhs = scale * legendre_analytic_series(nu, mu, r + t) * legendre_analytic_series(nu, mu, r - t)
+    else:
         rm, rp = r - t, r + t
         zp = 2.0 * div(TruncatedSeries.from_constant(1.0, wo), rm * rm) - 1.0
         zm = 2.0 * div(TruncatedSeries.from_constant(1.0, wo), rp * rp) - 1.0
@@ -730,8 +694,6 @@ def second_rewrite(
             * legendre_analytic_series(-0.25, mu, zp)
             * legendre_analytic_series(-0.25, mu, zm)
         )
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
     return lhs, rhs.truncate(order)
 
 

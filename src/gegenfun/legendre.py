@@ -71,13 +71,13 @@ class Classification:
         return self.primary.value
 
 
-def _near_int(x: float, tol: float = INT_TOL) -> bool:
-    return abs(x - round(x)) <= tol
+def _near_int(x: float) -> bool:
+    return abs(x - round(x)) <= INT_TOL
 
 
-def _frac_matches(x: float, residues: tuple[float, ...], tol: float = INT_TOL) -> bool:
+def _frac_matches(x: float, residues: tuple[float, ...]) -> bool:
     f = x - math.floor(x)
-    return any(abs(f - r) <= tol or abs(f - r - 1.0) <= tol or abs(f - r + 1.0) <= tol for r in residues)
+    return any(min(abs(f - r), abs(f - r - 1.0), abs(f - r + 1.0)) <= INT_TOL for r in residues)
 
 
 def classify(nu: float, mu: float) -> Classification:
@@ -293,15 +293,10 @@ def tetrahedral_p(sign_mu: int, arg: float, branch: Branch = Branch.LEGENDRE) ->
 # -- the branch-free combination (z**2-1)^(mu/2) P(nu, mu; z) -----------------
 
 
-def legendre_analytic_scalar(nu: float, mu: float, z: Scalar) -> complex:
-    """(z**2-1)^(mu/2) P(nu, mu; z), analytic at z = 1; equals the Ferrers-weighted
-    form (1-z**2)^(mu/2) Ferrers-P on (-1, 1)."""
-    f = gauss_2f1_scalar(-nu - mu, 1.0 + nu - mu, 1.0 - mu, (1.0 - complex(z)) / 2.0)
-    return complex(2.0**mu / gamma_fn(1.0 - mu) * f)
-
-
 def legendre_analytic_series(nu: float, mu: float, z: TruncatedSeries) -> TruncatedSeries:
-    """Same combination on a series argument with constant term 1."""
+    """(z**2-1)^(mu/2) P(nu, mu; z), analytic at z = 1, on a series argument
+    with constant term 1; equals the Ferrers-weighted form (1-z**2)^(mu/2)
+    Ferrers-P on (-1, 1)."""
     inner = (1.0 - z) * 0.5
     coeffs = gauss_2f1_coeffs(-nu - mu, 1.0 + nu - mu, 1.0 - mu, z.order)
     return compose_vanishing(coeffs, inner) * (2.0**mu / gamma_fn(1.0 - mu))

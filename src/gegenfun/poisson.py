@@ -23,6 +23,8 @@ from .gegenbauer import gegenbauer_recurrence
 from .hypergeometric import gamma_fn, gauss_2f1_scalar
 
 _AGM_TOL = 1e-16
+_TAIL_FLOOR = 1e-12  # roundoff floor of bilinear_tail_bound
+_SEXTIC_DEPTH = 6  # search depth of sextic_reachable
 
 
 def _elliptic_k_e(m: float, name: str) -> tuple[float, float]:
@@ -150,14 +152,14 @@ def bilinear_partial_sum(
     return acc
 
 
-def bilinear_tail_bound(coeffs: np.ndarray, t: float, floor: float = 1e-12) -> float:
+def bilinear_tail_bound(coeffs: np.ndarray, t: float) -> float:
     """Geometric estimate of the dropped tail plus a roundoff floor."""
     last, prev = abs(coeffs[-1] * t ** (coeffs.size - 1)), abs(
         coeffs[-2] * t ** (coeffs.size - 2)
     )
     ratio = min(0.9, last / prev) if prev > 0 else abs(t)
     tail = last * ratio / (1.0 - ratio) if last > 0 else 0.0
-    return 10.0 * tail + floor
+    return 10.0 * tail + _TAIL_FLOOR
 
 
 def operator_relation_check(lam: float, theta: float, phi: float, order: int) -> float:
@@ -231,13 +233,13 @@ def _quadratic_children(tri: tuple[Fraction, ...]) -> list[tuple[Fraction, ...]]
     return out
 
 
-def sextic_reachable(triple: Iterable[Fraction | float], max_depth: int = 6) -> bool:
-    """Whether repeated quadratic/cubic steps can reach the triple {0, 0, 0}."""
+def sextic_reachable(triple: Iterable[Fraction | float]) -> bool:
+    """Whether at most _SEXTIC_DEPTH quadratic/cubic steps reach the triple {0, 0, 0}."""
     target = (Fraction(0), Fraction(0), Fraction(0))
     start = canonical_triple(triple)
     seen = {start}
     frontier = [start]
-    for _ in range(max_depth):
+    for _ in range(_SEXTIC_DEPTH):
         nxt = []
         for tri in frontier:
             if tri == target:

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import (
     DivisionByZeroSeries,
     NonvanishingInner,
-    OddValuation,
     ZeroConstantTerm,
 )
 
@@ -106,8 +105,8 @@ class TruncatedSeries:
     def coefficient(self, n: int) -> complex:
         return complex(self.coeffs[n])
 
-    def zero_threshold(self, at: int = 0) -> float:
-        scale = float(np.max(np.abs(self.coeffs[: at + _SCALE_WINDOW + 1])))
+    def zero_threshold(self) -> float:
+        scale = float(np.max(np.abs(self.coeffs[: _SCALE_WINDOW + 1])))
         return ZERO_TOL * max(1.0, scale)
 
     def valuation(self) -> int | None:
@@ -333,17 +332,6 @@ def pow_alpha(a: TruncatedSeries, alpha: Scalar) -> TruncatedSeries:
             acc = acc + wc[m - 1] * vals[m - 1 - k]
         vals.append(acc / (m * a0))
     return TruncatedSeries(np.array(vals, dtype=DTYPE))
-
-
-def sqrt_shifted(a: TruncatedSeries) -> TruncatedSeries:
-    """Square root of a series with even valuation: sqrt(t**2w * u) = t**w sqrt(u)."""
-    v = a.valuation()
-    if v is None:
-        raise ZeroConstantTerm("square root of the zero series")
-    if v % 2:
-        raise OddValuation(f"valuation {v} is odd")
-    body = pow_alpha(_shift_down(a, v), 0.5)
-    return _shift_up(body, v // 2)
 
 
 def compose_vanishing(

@@ -71,8 +71,8 @@ def test_criterion_4_variant_coherence():
         (0.25, 0.6, 2.0),
     ]
     for lam, g, x in first_points:
-        a = gf.rhs_first_gf_a(lam, g, x, 16)
-        b = gf.rhs_first_gf_b(lam, g, x, 16)
+        a = gf.first_gf(lam, g, x, 16, "a")[1]
+        b = gf.first_gf(lam, g, x, 16, "b")[1]
         worst = max(worst, mixed_deviation(a, b))
     second_points = [
         (0.25, -1.0 / 12.0, 0.3),
@@ -93,7 +93,7 @@ def test_criterion_5_legendre_rewrites():
     worst = 0.0
     cases = [(-1.0 / 6.0, 0.25, 2.0), (-0.25, 1.0 / 3.0, 0.4), (0.0, 0.25, 2.0), (1.8, 0.2, 1.3)]
     for nu, mu, x in cases:
-        lhs, rhs = gf.first_rewrite_pair(nu, mu, x, 14, "a")
+        lhs, rhs = gf.first_rewrite(nu, mu, x, 14, "a")
         worst = max(worst, mixed_deviation(lhs, rhs))
     for nu, mu, _ in cases:
         lhs, rhs = gf.second_rewrite(nu, mu, 0.5, 14, "a")
@@ -140,13 +140,14 @@ def test_criterion_8_u_reductions():
     worst = 0.0
     # first extended family at u = 1 against the base family, both variants
     for lam, g, x in ((0.25, -1.0 / 12.0, 2.0), (1.0 / 6.0, 0.3, 0.6)):
-        for variant, base_rhs in (("a", gf.rhs_first_gf_a), ("b", gf.rhs_first_gf_b)):
+        for variant in ("a", "b"):
             lhs, rhs = gf.extended_first_gf(lam, g, 1.0, x, 16, variant)
-            worst = max(worst, mixed_deviation(lhs, gf.lhs_first_gf(lam, g, x, 16)))
-            worst = max(worst, mixed_deviation(rhs, base_rhs(lam, g, x, 16)))
+            base_lhs, base_rhs = gf.first_gf(lam, g, x, 16, variant)
+            worst = max(worst, mixed_deviation(lhs, base_lhs))
+            worst = max(worst, mixed_deviation(rhs, base_rhs))
     # extended rewrite at u = 1 against the base rewrite
     _, rhs = gf.extended_rewrite(-1.0 / 6.0, 0.25, 1.0, 2.0, 14, "a")
-    worst = max(worst, mixed_deviation(rhs, gf.rhs_rewrite_legendre(-1.0 / 6.0, 0.25, 2.0, 14, "a")))
+    worst = max(worst, mixed_deviation(rhs, gf.first_rewrite(-1.0 / 6.0, 0.25, 2.0, 14, "a")[1]))
     # extended finite sums at u = 1 against the base finite sums
     for which, base in (("plus", "g1"), ("minus", "g2")):
         lhs, rhs = gf.extended_miller(0.25, 2, 1.0, 1.5, 14, which)

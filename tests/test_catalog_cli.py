@@ -151,6 +151,18 @@ def test_cli_config_file(tmp_path, capsys):
     assert record["tol"] == 1e-6
 
 
+def test_cli_config_unknown_key_is_a_usage_error(tmp_path, capsys):
+    # a misspelt key must not silently fall back to the default order
+    cfg = tmp_path / "gegenfun.cfg"
+    cfg.write_text("ordr = 32\n")
+    assert main(["verify", "alt.1", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: unknown config key 'ordr'\n"
+    assert captured.out == ""
+    cfg.write_text("order = 32\n")
+    assert main(["verify", "alt.1", "--config", str(cfg)]) == 0
+
+
 @pytest.mark.parametrize(
     "argv, config",
     [

@@ -2,13 +2,14 @@
 coherence, u-degenerations, termination, substitutions, and the algebraicity test."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from _bitwise import assert_bitwise
 
 from gegenfun import genfun as gf
-from gegenfun.errors import DomainMismatch, UncancelledPole
+from gegenfun.errors import DomainMismatch, InvalidLambda, UncancelledPole
 from gegenfun.gegenbauer import ordinary_gf_series
 from gegenfun.series import DTYPE, TruncatedSeries, mixed_deviation, pow_alpha
 
@@ -23,44 +24,39 @@ def assert_pair(pair, tol=1e-9, order=None):
 
 
 def test_first_gf_examples():
-    assert_pair(gf.first_gf_pair(0.25, -1.0 / 12.0, 2.0, 16, "a"))
-    assert_pair(gf.first_gf_pair(2.0, 1.1, 1.5, 16, "b"))
-    lhs = gf.lhs_first_gf(0.37, 0.9, 0.7, 10)
+    assert_pair(gf.first_gf(0.25, -1.0 / 12.0, 2.0, 16, "a"))
+    assert_pair(gf.first_gf(2.0, 1.1, 1.5, 16, "b"))
+    lhs = gf.lhs_ratio(0.37, (0.9,), (2.0 * 0.37,), 0.7, 10)
     assert abs(lhs.coefficient(0) - 1.0) <= 1e-15
-
-
-def test_first_gf_pair_rejects_unknown_variant():
-    with pytest.raises(ValueError, match="unknown variant 'c'"):
-        gf.first_gf_pair(0.25, -1.0 / 12.0, 2.0, 16, "c")
 
 
 def test_first_gf_terminating_weights():
     # gamma = -1: the weight (gamma)_n kills every n >= 2 exactly
-    lhs = gf.lhs_first_gf(0.25, -1.0, 1.5, 12)
+    lhs = gf.lhs_ratio(0.25, (-1.0,), (0.5,), 1.5, 12)
     assert max(abs(complex(c)) for c in lhs.coeffs[2:]) <= 1e-14
 
 
 def test_first_gf_gamma_termination_matches_miller():
     # at gamma = -N the closed form collapses to the finite-sum identity
     lam, n, x, order = 0.25, 3, 1.5, 12
-    rhs = gf.rhs_first_gf_a(lam, -float(n), x, order)
+    _, rhs = gf.first_gf(lam, -float(n), x, order, "a")
     _, miller_rhs = gf.miller_identities(lam, n, x, order, "g1")
     assert mixed_deviation(rhs, miller_rhs) <= 1e-12
 
 
 def test_first_gf_variant_coherence():
     for lam, g, x in ((0.25, -1.0 / 12.0, 1.3), (1.0 / 6.0, 0.3, 0.6), (0.5, 0.3, -0.7)):
-        a = gf.rhs_first_gf_a(lam, g, x, 16)
-        b = gf.rhs_first_gf_b(lam, g, x, 16)
+        a = gf.first_gf(lam, g, x, 16, "a")[1]
+        b = gf.first_gf(lam, g, x, 16, "b")[1]
         assert mixed_deviation(a, b) <= 1e-9
 
 
 def test_first_rewrite():
-    assert_pair(gf.first_rewrite_pair(-1.0 / 6.0, 0.25, 2.0, 16, "a"), 1e-8)
-    assert_pair(gf.first_rewrite_pair(-0.25, 1.0 / 3.0, 0.4, 12, "a"), 1e-8)
-    assert_pair(gf.first_rewrite_pair(0.0, 0.25, 0.5, 14, "b"), 1e-8)
+    assert_pair(gf.first_rewrite(-1.0 / 6.0, 0.25, 2.0, 16, "a"), 1e-8)
+    assert_pair(gf.first_rewrite(-0.25, 1.0 / 3.0, 0.4, 12, "a"), 1e-8)
+    assert_pair(gf.first_rewrite(0.0, 0.25, 0.5, 14, "b"), 1e-8)
     # nu = -mu: reducible with N = 0
-    assert_pair(gf.first_rewrite_pair(-0.2, 0.2, 1.5, 12, "a"), 1e-9)
+    assert_pair(gf.first_rewrite(-0.2, 0.2, 1.5, 12, "a"), 1e-9)
 
 
 def test_miller_identities():
@@ -82,11 +78,27 @@ def test_alt_gf():
     assert mixed_deviation(rhs, ordinary_gf_series(0.5, 1.5, 16)) <= 1e-12
 
 
-def test_alt_gf_rejects_unknown_which():
-    with pytest.raises(ValueError, match="unknown which 3"):
-        gf.alt_gf(0.25, 2.0, 16, 3)
-    with pytest.raises(ValueError, match="unknown which 3"):
-        gf.lhs_alt_gf(0.25, 2.0, 16, 3)
+# every two-form builder: (call with the form, the form's name, an unknown form)
+_TWO_FORM_BUILDERS = {
+    "first_gf": (lambda f: gf.first_gf(0.25, -1.0 / 12.0, 2.0, 8, f), "variant", "c"),
+    "first_rewrite": (lambda f: gf.first_rewrite(-1.0 / 6.0, 0.25, 2.0, 8, f), "variant", "c"),
+    "extended_first_gf": (lambda f: gf.extended_first_gf(0.25, -1.0 / 12.0, 0.4, 2.0, 8, f), "variant", "c"),
+    "extended_rewrite": (lambda f: gf.extended_rewrite(-1.0 / 6.0, 0.25, 0.4, 2.0, 8, f), "variant", "c"),
+    "second_gf": (lambda f: gf.second_gf(0.5, 0.3, 0.6, 8, f), "variant", "c"),
+    "extended_second_gf": (lambda f: gf.extended_second_gf(0.5, 0.3, 0.4, 0.6, 8, f), "variant", "c"),
+    "second_rewrite": (lambda f: gf.second_rewrite(-1.0 / 6.0, 0.25, 0.5, 8, f), "variant", "c"),
+    "miller_identities": (lambda f: gf.miller_identities(0.25, 3, 1.5, 8, f), "which", "g3"),
+    "extended_miller": (lambda f: gf.extended_miller(0.25, 3, 0.4, 1.5, 8, f), "which", "g1"),
+    "alt_gf": (lambda f: gf.alt_gf(0.25, 2.0, 8, f), "which", 3),
+    "tetrahedral_example": (lambda f: gf.tetrahedral_example(1.5, 8, f), "branch", "elliptic"),
+}
+
+
+@pytest.mark.parametrize("name", list(_TWO_FORM_BUILDERS))
+def test_two_form_builders_reject_unknown_form(name):
+    build, kind, bad = _TWO_FORM_BUILDERS[name]
+    with pytest.raises(ValueError, match=re.escape(f"unknown {kind} {bad!r}")):
+        build(bad)
 
 
 # -- radical examples ----------------------------------------------------------------
@@ -169,8 +181,9 @@ def test_extended_first_u_degenerations():
     # u = 1 reduces to the unextended identity
     lam, g, x, order = 1.0 / 6.0, 0.3, 1.5, 14
     lhs1, rhs1 = gf.extended_first_gf(lam, g, 1.0, x, order, "a")
-    assert mixed_deviation(lhs1, gf.lhs_first_gf(lam, g, x, order)) <= 1e-9
-    assert mixed_deviation(rhs1, gf.rhs_first_gf_a(lam, g, x, order)) <= 1e-9
+    lhs_base, rhs_base = gf.first_gf(lam, g, x, order, "a")
+    assert mixed_deviation(lhs1, lhs_base) <= 1e-9
+    assert mixed_deviation(rhs1, rhs_base) <= 1e-9
     # u = 0: unit weights, RHS collapses to R^(-2 lam)
     lhs0, rhs0 = gf.extended_first_gf(lam, g, 0.0, x, order, "a")
     assert mixed_deviation(lhs0, ordinary_gf_series(lam, x, order)) <= 1e-12
@@ -183,7 +196,7 @@ def test_extended_rewrite():
     assert_pair(gf.extended_rewrite(-0.25, 1.0 / 3.0, 0.4, 1.5, 12, "b"), 1e-8)
     # u = 1 reproduces the unextended rewrite
     _, rhs = gf.extended_rewrite(-1.0 / 6.0, 0.25, 1.0, 2.0, 12, "a")
-    assert mixed_deviation(rhs, gf.rhs_rewrite_legendre(-1.0 / 6.0, 0.25, 2.0, 12, "a")) <= 1e-9
+    assert mixed_deviation(rhs, gf.first_rewrite(-1.0 / 6.0, 0.25, 2.0, 12, "a")[1]) <= 1e-9
 
 
 def test_extended_miller():
@@ -210,6 +223,13 @@ def test_lemma_key_check():
     assert mixed_deviation(rhs, ord_gf) <= 1e-12
     with pytest.raises(ValueError):
         gf.lemma_key_check(0.25, (), (0.5,), 0.3, 1.5, 8)
+
+
+@pytest.mark.parametrize("lam", (0.0, -0.5, -1.0))
+def test_lemma_key_check_rejects_excluded_lambda(lam):
+    # 2 lam a non-positive integer: C_n^lam degenerates, as in every other builder
+    with pytest.raises(InvalidLambda):
+        gf.lemma_key_check(lam, (0.3,), (0.5,), 0.6, 1.5, 8)
 
 
 def _ref_lemma_rhs(lam, numerators, denominators, u, x, order):

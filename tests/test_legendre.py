@@ -15,7 +15,6 @@ from gegenfun.legendre import (
     cyclic_case_z,
     dihedral_case,
     leading_asymptotic,
-    legendre_analytic_scalar,
     legendre_analytic_series,
     legendre_p_hypergeometric,
     octahedral_h,
@@ -271,6 +270,3 @@ def test_analytic_combination_degree_symmetry():
     a = legendre_analytic_series(0.3, 0.2, z_series)
     b = legendre_analytic_series(-1.3, 0.2, z_series)
     assert mixed_deviation(a, b) <= 1e-15
-    za = legendre_analytic_scalar(0.3, 0.2, 1.2)
-    zb = legendre_analytic_scalar(-1.3, 0.2, 1.2)
-    assert abs(za - zb) <= 1e-14

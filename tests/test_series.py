@@ -10,7 +10,6 @@ from _bitwise import assert_bitwise
 from gegenfun.errors import (
     DivisionByZeroSeries,
     NonvanishingInner,
-    OddValuation,
     ZeroConstantTerm,
 )
 from gegenfun.series import (
@@ -24,7 +23,6 @@ from gegenfun.series import (
     div,
     mixed_deviation,
     pow_alpha,
-    sqrt_shifted,
 )
 
 
@@ -141,20 +139,6 @@ def test_pow_rational_round_trip():
     a = TruncatedSeries([2.0, 0.3, -0.1, 0.05, 0.01])
     back = pow_alpha(pow_alpha(a, 3 / 5), 5 / 3)
     assert mixed_deviation(a, back) <= 1e-14
-
-
-def test_sqrt_shifted_examples():
-    assert_coeffs(sqrt_shifted(TruncatedSeries([0, 0, 1, 2])), [0, 1, 1])
-    assert_coeffs(sqrt_shifted(TruncatedSeries([4, 4, 1])), [2, 1, 0])
-    assert_coeffs(sqrt_shifted(TruncatedSeries([0, 0, 9])), [0, 3])
-    with pytest.raises(OddValuation):
-        sqrt_shifted(TruncatedSeries([0, 1, 1]))
-
-
-def test_sqrt_shifted_square_round_trip():
-    a = TruncatedSeries([0, 0, 2.0, -1.0, 0.5, 0.25])
-    s = sqrt_shifted(a)
-    assert mixed_deviation(s * s, TruncatedSeries(a.coeffs[: s.order + 1])) <= 1e-13
 
 
 def test_compose_vanishing_examples():
