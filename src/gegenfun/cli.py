@@ -1,7 +1,8 @@
 """Command-line front end: list, verify, eval, classify.
 
-Exit codes: 0 all requested checks pass, 1 at least one identity fails,
-2 usage error (unknown identity/function, malformed arguments).
+Exit codes: 0 all requested checks pass, 1 at least one identity fails or
+stdout was closed early, 2 usage error (unknown identity/function, malformed
+arguments).
 Reports are emitted in catalog order as line-delimited JSON (default) or CSV.
 An optional config file supplies defaults as `key = value` lines
 (keys: order, tol, format; any other key is a usage error); explicit flags
@@ -13,12 +14,14 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 
 from . import catalog, legendre, poisson
 from .errors import GegenfunError
 from .gegenbauer import gegenbauer_recurrence
 from .genfun import algebraicity
+from .hypergeometric import INT_TOL
 from .legendre import Branch, CaseTag
 
 
@@ -153,7 +156,7 @@ def _require(args, names: list[str]) -> list[float]:
 def _base_degree(nu: float, targets: tuple[float, ...]) -> bool:
     # closed forms cover the base pairs only (shifted pairs need ladder
     # operators, which are not implemented); the reflection nu -> -nu-1 is free
-    return any(abs(nu - t) <= 1e-9 or abs(-nu - 1.0 - t) <= 1e-9 for t in targets)
+    return any(abs(nu - t) <= INT_TOL or abs(-nu - 1.0 - t) <= INT_TOL for t in targets)
 
 
 def _eval_legendre(args) -> float:
@@ -178,7 +181,7 @@ def _eval_legendre(args) -> float:
         return legendre.tetrahedral_p(sign, arg, branch)
     if cls.primary is CaseTag.QUASI_CYCLIC and _base_degree(nu, (0.0,)):
         return legendre.cyclic_case(mu, arg, branch)
-    if cls.primary is CaseTag.QUASI_DIHEDRAL and abs(mu - 0.5) <= 1e-9:
+    if cls.primary is CaseTag.QUASI_DIHEDRAL and abs(mu - 0.5) <= INT_TOL:
         return legendre.dihedral_case(nu, arg, branch)
     raise ValueError(
         f"no closed form implemented for ({nu}, {mu}) [{cls.primary.value}]; "
@@ -230,7 +233,7 @@ def _cmd_classify(args) -> int:
     return 2
 
 
-def main(argv: list[str] | None = None) -> int:
+def _run(argv: list[str] | None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "list":
         return _cmd_list()
@@ -239,6 +242,18 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "eval":
         return _cmd_eval(args)
     return _cmd_classify(args)
+
+
+def main(argv: list[str] | None = None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader went away: send the rest of the output to devnull so the
+        # flush at exit cannot raise again, and exit 1 without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

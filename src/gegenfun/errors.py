@@ -57,9 +57,5 @@ class OutOfRange(GegenfunError):
     """Numeric argument outside the supported interval."""
 
 
-class RuleNotApplicable(GegenfunError):
-    """Exponent-difference transformation rule does not match the triple."""
-
-
 class ConsistencyError(GegenfunError):
     """Two internal construction paths for the same object disagree."""

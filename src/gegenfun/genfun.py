@@ -40,13 +40,11 @@ import numpy as np
 
 from .errors import DomainMismatch, UncancelledPole
 from .gegenbauer import check_lambda, gegenbauer_of_series, gegenbauer_weighted_series
-from .hypergeometric import gamma_fn, gauss_2f1_series, pfq_terminating_all, pochhammer
+from .hypergeometric import gamma_fn, gauss_2f1_series, in_z_pm, pfq_terminating_all, pochhammer
 from .legendre import legendre_analytic_series
 from .series import DTYPE, TruncatedSeries, _shift_down, _shift_up, div, pow_alpha
 
 Scalar = complex | float | int
-
-_FRAC_TOL = 1e-9
 
 
 # -- building blocks -----------------------------------------------------------
@@ -490,7 +488,7 @@ def substitution_table(x: float, t: float, row: int) -> SubstitutionRow:
         raise DomainMismatch(f"row {row} needs |x| > 1")
     if not need_hyper and abs(x) >= 1.0:
         raise DomainMismatch(f"row {row} needs |x| < 1")
-    if row in (7, 8) and t == 0.0:
+    if row in (3, 4, 7, 8) and t == 0.0:
         raise DomainMismatch(f"row {row} needs t != 0")
     val = exp_value(x, t, r, omxt, math.sqrt(abs(x * x - 1.0)))
     z = omxt / r if form is ZForm.RATIO else 2.0 * (r / omxt) ** 2 - 1.0
@@ -712,21 +710,16 @@ class AlgebraicityVerdict:
         return f"not algebraic by either clause: {self.detail}"
 
 
-def _in_z_pm(x: float, r: float) -> bool:
-    f = x - math.floor(x)
-    return min(abs(f - r), abs(f - (1.0 - r)), abs(f - r - 1.0), abs(f - (1.0 - r) + 1.0)) <= _FRAC_TOL
-
-
 def algebraicity(lam: float, gamma: float) -> AlgebraicityVerdict:
     """Whether the weighted generating functions with this (lam, gamma) are
     algebraic: (1) lam in Z±1/4 with gamma-lam in Z±1/3, or (2) lam in Z±1/6
     with gamma-lam in Z±1/3 or Z±1/4."""
     d = gamma - lam
-    if _in_z_pm(lam, 0.25) and _in_z_pm(d, 1.0 / 3.0):
+    if in_z_pm(lam, 0.25) and in_z_pm(d, 1.0 / 3.0):
         return AlgebraicityVerdict(True, 1, "lam in Z±1/4, gamma-lam in Z±1/3")
-    if _in_z_pm(lam, 1.0 / 6.0):
-        if _in_z_pm(d, 1.0 / 3.0):
+    if in_z_pm(lam, 1.0 / 6.0):
+        if in_z_pm(d, 1.0 / 3.0):
             return AlgebraicityVerdict(True, 2, "lam in Z±1/6, gamma-lam in Z±1/3")
-        if _in_z_pm(d, 0.25):
+        if in_z_pm(d, 0.25):
             return AlgebraicityVerdict(True, 2, "lam in Z±1/6, gamma-lam in Z±1/4")
     return AlgebraicityVerdict(False, None, f"lam = {lam}, gamma - lam = {d}")

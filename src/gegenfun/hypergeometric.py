@@ -19,7 +19,8 @@ from .series import DTYPE, TruncatedSeries, compose_vanishing
 
 Scalar = complex | float | int
 
-# Tolerance for recognizing a floating parameter as an exact (negative) integer.
+# The one membership tolerance: a float is read as a point of Z, or of Z ± r,
+# when it lies within INT_TOL of it (`as_negative_integer`, `in_z_pm`).
 INT_TOL = 1e-9
 
 # Direct summation is refused at |z| >= DIRECT_LIMIT outside the terminating
@@ -40,6 +41,12 @@ def as_negative_integer(x: Scalar) -> int | None:
     if n <= 0 and abs(xr.real - n) <= INT_TOL:
         return int(n)
     return None
+
+
+def in_z_pm(x: float, r: float) -> bool:
+    """Whether x is within INT_TOL of Z + r or of Z - r; r = 0 tests for an integer."""
+    lo, hi = x - r, x + r
+    return abs(lo - round(lo)) <= INT_TOL or abs(hi - round(hi)) <= INT_TOL
 
 
 def pochhammer(a: Scalar, n: int) -> complex:

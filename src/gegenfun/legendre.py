@@ -33,6 +33,7 @@ from .hypergeometric import (
     gamma_fn,
     gauss_2f1_coeffs,
     gauss_2f1_scalar,
+    in_z_pm,
     pochhammer,
 )
 from .series import TruncatedSeries, compose_vanishing
@@ -71,15 +72,6 @@ class Classification:
         return self.primary.value
 
 
-def _near_int(x: float) -> bool:
-    return abs(x - round(x)) <= INT_TOL
-
-
-def _frac_matches(x: float, residues: tuple[float, ...]) -> bool:
-    f = x - math.floor(x)
-    return any(min(abs(f - r), abs(f - r - 1.0), abs(f - r + 1.0)) <= INT_TOL for r in residues)
-
-
 def classify(nu: float, mu: float) -> Classification:
     """Sort (nu, mu) into the elementary/algebraic cases of the Legendre ODE.
 
@@ -91,16 +83,16 @@ def classify(nu: float, mu: float) -> Classification:
     """
     matches: list[CaseTag] = []
     s, d = nu + mu, mu - nu
-    if (_near_int(s) and round(s) >= 0) or (_near_int(d) and round(d) >= 1):
+    if (in_z_pm(s, 0.0) and round(s) >= 0) or (in_z_pm(d, 0.0) and round(d) >= 1):
         matches.append(CaseTag.REDUCIBLE)
-    if _near_int(nu):
+    if in_z_pm(nu, 0.0):
         matches.append(CaseTag.QUASI_CYCLIC)
-    if _near_int(mu - 0.5):
+    if in_z_pm(mu, 0.5):
         matches.append(CaseTag.QUASI_DIHEDRAL)
-    sixth = _frac_matches(nu, (1.0 / 6.0, 5.0 / 6.0))
-    quarter_nu = _frac_matches(nu, (0.25, 0.75))
-    quarter_mu = _frac_matches(mu, (0.25, 0.75))
-    third_mu = _frac_matches(mu, (1.0 / 3.0, 2.0 / 3.0))
+    sixth = in_z_pm(nu, 1.0 / 6.0)
+    quarter_nu = in_z_pm(nu, 0.25)
+    quarter_mu = in_z_pm(mu, 0.25)
+    third_mu = in_z_pm(mu, 1.0 / 3.0)
     if sixth and quarter_mu:
         matches.append(CaseTag.OCTAHEDRAL)
     if quarter_nu and third_mu:
@@ -116,7 +108,7 @@ def classify(nu: float, mu: float) -> Classification:
 
 
 def _check_mu(mu: float) -> None:
-    if mu >= 0.5 and _near_int(mu):
+    if mu >= 0.5 and in_z_pm(mu, 0.0):
         raise OrderIsPositiveInteger(f"mu = {mu} needs the limiting form")
 
 
@@ -153,7 +145,7 @@ def reducible_case(mu: float, big_n: int, z: Scalar, branch: Branch = Branch.LEG
     """Degree nu = -mu + N: the function collapses to a Gegenbauer polynomial."""
     if big_n < 0:
         raise ValueError("N must be non-negative")
-    if mu >= 0.5 - INT_TOL and _near_int(2.0 * mu):
+    if mu >= 0.5 - INT_TOL and in_z_pm(2.0 * mu, 0.0):
         raise InvalidMu(f"mu = {mu} is excluded in the reducible closed form")
     zc = complex(z)
     radicand = zc * zc - 1.0 if branch is Branch.LEGENDRE else 1.0 - zc * zc

@@ -1,5 +1,5 @@
-"""Poisson kernel and companion for the Gegenbauer family, complete elliptic
-integrals by the arithmetic-geometric mean, and exponent-difference bookkeeping.
+"""Poisson kernel and companion for the Gegenbauer family, and complete elliptic
+integrals by the arithmetic-geometric mean.
 
 Elliptic convention: parameter m (not modulus k), i.e.
 
@@ -13,18 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable
 
 import numpy as np
 
-from .errors import ConsistencyError, DomainMismatch, OutOfRange, RuleNotApplicable
+from .errors import ConsistencyError, DomainMismatch, OutOfRange
 from .gegenbauer import gegenbauer_recurrence
 from .hypergeometric import gamma_fn, gauss_2f1_scalar
 
 _AGM_TOL = 1e-16
 _TAIL_FLOOR = 1e-12  # roundoff floor of bilinear_tail_bound
-_SEXTIC_DEPTH = 6  # search depth of sextic_reachable
 
 
 def _elliptic_k_e(m: float, name: str) -> tuple[float, float]:
@@ -170,91 +167,6 @@ def operator_relation_check(lam: float, theta: float, phi: float, order: int) ->
     n = np.arange(order + 1)
     mapped = (lam + n) / lam * c
     return float(np.max(np.abs(mapped - k) / np.maximum(1.0, np.maximum(np.abs(mapped), np.abs(k)))))
-
-
-# -- exponent differences -------------------------------------------------------
-
-
-def _to_fraction(x: float | Fraction) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    f = Fraction(x).limit_denominator(1_000_000)
-    if abs(float(f) - float(x)) > 1e-9:
-        raise ValueError(f"{x} is not recognizably rational")
-    return f
-
-
-def exponent_differences(
-    a: float | Fraction, b: float | Fraction, c: float | Fraction
-) -> tuple[Fraction, Fraction, Fraction]:
-    """The up-to-sign triple (1-c, c-a-b, b-a) of the Gauss ODE, in exact rationals."""
-    fa, fb, fc = _to_fraction(a), _to_fraction(b), _to_fraction(c)
-    return (1 - fc, fc - fa - fb, fb - fa)
-
-
-def canonical_triple(triple: Iterable[Fraction | float]) -> tuple[Fraction, ...]:
-    """Sort by absolute value: differences matter only up to sign and order."""
-    return tuple(sorted(abs(_to_fraction(d)) for d in triple))
-
-
-HALF = Fraction(1, 2)
-THIRD = Fraction(1, 3)
-
-
-def quadratic_step(triple: Iterable[Fraction | float]) -> tuple[Fraction, ...]:
-    """{1/2, d1, d2} -> {d1, d1, 2 d2}, duplicating the larger remaining entry."""
-    tri = list(canonical_triple(triple))
-    if HALF not in tri:
-        raise RuleNotApplicable("no exponent difference 1/2 in the triple")
-    tri.remove(HALF)
-    d2, d1 = tri  # ascending: duplicate the larger
-    return canonical_triple((d1, d1, 2 * d2))
-
-
-def cubic_step(triple: Iterable[Fraction | float]) -> tuple[Fraction, ...]:
-    """{1/3, 1/3, d} -> {d, d, d}."""
-    tri = list(canonical_triple(triple))
-    if tri.count(THIRD) < 2:
-        raise RuleNotApplicable("cubic rule needs two exponent differences 1/3")
-    tri.remove(THIRD)
-    tri.remove(THIRD)
-    d = tri[0]
-    return canonical_triple((d, d, d))
-
-
-def _quadratic_children(tri: tuple[Fraction, ...]) -> list[tuple[Fraction, ...]]:
-    out = []
-    if HALF in tri:
-        rest = list(tri)
-        rest.remove(HALF)
-        a, b = rest
-        out.append(canonical_triple((a, a, 2 * b)))
-        out.append(canonical_triple((b, b, 2 * a)))
-    return out
-
-
-def sextic_reachable(triple: Iterable[Fraction | float]) -> bool:
-    """Whether at most _SEXTIC_DEPTH quadratic/cubic steps reach the triple {0, 0, 0}."""
-    target = (Fraction(0), Fraction(0), Fraction(0))
-    start = canonical_triple(triple)
-    seen = {start}
-    frontier = [start]
-    for _ in range(_SEXTIC_DEPTH):
-        nxt = []
-        for tri in frontier:
-            if tri == target:
-                return True
-            children = _quadratic_children(tri)
-            try:
-                children.append(cubic_step(tri))
-            except RuleNotApplicable:
-                pass
-            for child in children:
-                if child not in seen and all(abs(d) <= 4 for d in child):
-                    seen.add(child)
-                    nxt.append(child)
-        frontier = nxt
-    return target in seen
 
 
 # -- the quarter-parameter elliptic identity ------------------------------------

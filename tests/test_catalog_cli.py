@@ -5,7 +5,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -242,7 +245,27 @@ def test_cli_classify(capsys):
     assert capsys.readouterr().out.strip() == "Generic"
     assert main(["classify", "--lambda", "0.5", "--gamma", "0.3"]) == 0
     assert capsys.readouterr().out.strip() == "not algebraic"
+    assert main(["classify", "--lambda", "0.25", "--gamma", "0.5833333333333334"]) == 0
+    assert capsys.readouterr().out.strip() == "algebraic (clause 1)"
     assert main(["classify"]) == 2
+
+
+def test_cli_closed_stdout_exits_1_without_traceback():
+    # The read end is closed before the child starts, so its first write
+    # fails; `verify all` would otherwise fit in a pipe buffer and never see it.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gegenfun.cli", "verify", "all"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert b"Traceback" not in proc.stderr, proc.stderr.decode()
+    assert proc.returncode == 1
 
 
 # sha256 of `verify all` output with 80-bit long double, (JSONL with every

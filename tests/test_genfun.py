@@ -154,8 +154,10 @@ def test_substitution_row_domains():
         gf.substitution_table(0.5, 0.1, 1)  # needs |x| > 1
     with pytest.raises(DomainMismatch):
         gf.substitution_table(2.0, 0.1, 4)  # needs |x| < 1
-    with pytest.raises(DomainMismatch):
-        gf.substitution_table(0.5, 0.0, 7)  # needs t != 0
+    # rows 3 and 4 divide by 1 - R - xt, rows 7 and 8 by t sqrt|x**2 - 1|
+    for x, row in ((2.0, 3), (0.5, 4), (0.5, 7), (2.0, 8)):
+        with pytest.raises(DomainMismatch, match="needs t != 0"):
+            gf.substitution_table(x, 0.0, row)
 
 
 def test_substitution_limits_and_modulus():
@@ -321,11 +323,26 @@ def test_second_rewrite():
 
 
 def test_algebraicity_clauses():
-    v = gf.algebraicity(0.25, -1.0 / 12.0)
-    assert v.algebraic and v.clause == 1
-    v = gf.algebraicity(1.0 / 6.0, -1.0 / 12.0)
-    assert v.algebraic and v.clause == 2
-    assert not gf.algebraicity(0.5, 0.3).algebraic
+    cases = [
+        (0.25, -1.0 / 12.0, 1),
+        (1.0 / 6.0, -1.0 / 12.0, 2),
+        (0.5, 0.3, None),
+        # integer-shifted and negative cases of both clauses
+        (0.25 - 3.0, -1.0 / 12.0 + 2.0, 1),
+        (-0.25, -0.25 + 1.0 / 3.0, 1),
+        (-0.75, -0.75 - 1.0 / 3.0 - 2.0, 1),
+        (1.0 / 6.0 - 2.0, 1.0 / 6.0 + 4.0 / 3.0, 2),  # gamma - lam in Z±1/3
+        (-1.0 / 6.0, -0.5, 2),
+        (-1.0 / 6.0, 1.0 / 12.0, 2),  # gamma - lam in Z±1/4
+        (1.0 / 6.0 + 1.0, 1.0 / 6.0 + 1.0 - 4.25, 2),
+        (-5.0 / 6.0, -5.0 / 6.0 + 0.75, 2),
+        (-0.25, 0.0, None),  # lam in Z±1/4 needs gamma - lam in Z±1/3
+        (-7.0 / 6.0, -2.0 / 3.0, None),
+    ]
+    for lam, gamma, clause in cases:
+        v = gf.algebraicity(lam, gamma)
+        assert v.algebraic is (clause is not None), (lam, gamma)
+        assert v.clause == clause, (lam, gamma)
 
 
 def test_algebraicity_shift_invariance():

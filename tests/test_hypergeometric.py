@@ -10,12 +10,14 @@ import pytest
 from gegenfun.errors import NoConvergence, PoleAtNonPositiveInteger, PoleInDenominatorParams
 from gegenfun.hypergeometric import (
     DIRECT_LIMIT,
+    INT_TOL,
     MAX_TERMS,
     _check_denominator,
     _termination_index,
     gamma_fn,
     gauss_2f1_coeffs,
     gauss_2f1_scalar,
+    in_z_pm,
     pfq_terminating_all,
     pochhammer,
 )
@@ -322,6 +324,55 @@ def test_pfq_terminating_all_against_exact_sum():
                 assert new[n] <= old[n] or new[n] <= floor_sq, (c, d, u, order, n)
         if max(old) > floor_sq:
             assert max(new) * 100**2 <= max(old), (c, d, u)
+
+
+# -- the residue test ------------------------------------------------------------
+# The three membership tests in_z_pm replaced, verbatim: legendre's integer and
+# fractional-part tests and genfun's Z ± r test.
+
+
+def _ref_near_int(x):
+    return abs(x - round(x)) <= INT_TOL
+
+
+def _ref_frac_matches(x, residues):
+    f = x - math.floor(x)
+    return any(min(abs(f - r), abs(f - r - 1.0), abs(f - r + 1.0)) <= INT_TOL for r in residues)
+
+
+def _ref_in_z_pm(x, r):
+    f = x - math.floor(x)
+    return min(abs(f - r), abs(f - (1.0 - r)), abs(f - r - 1.0), abs(f - (1.0 - r) + 1.0)) <= INT_TOL
+
+
+def _residue_grid():
+    """Every n + k/12 for n in -4..4, moved off by 0, 0.5, 0.999, 1.001 and 2
+    tolerances either way."""
+    offsets = [s * c * INT_TOL for c in (0.0, 0.5, 0.999, 1.001, 2.0) for s in (1.0, -1.0)]
+    return [n + k / 12.0 + e for n in range(-4, 5) for k in range(12) for e in offsets]
+
+
+def _residue_sample():
+    """Seeded points near the k/12 grid and anywhere in [-5, 5]."""
+    rng = random.Random(1607)
+    near = [rng.randint(-4, 4) + rng.randint(0, 11) / 12.0 + rng.uniform(-3.0, 3.0) * INT_TOL
+            for _ in range(2000)]
+    return near + [rng.uniform(-5.0, 5.0) for _ in range(500)]
+
+
+def test_in_z_pm_matches_the_tests_it_replaced():
+    for x in _residue_grid() + _residue_sample():
+        assert in_z_pm(x, 0.0) is _ref_near_int(x), x
+        assert in_z_pm(x, 0.5) is _ref_near_int(x - 0.5), x
+        for pair in ((1.0 / 6.0, 5.0 / 6.0), (0.25, 0.75), (1.0 / 3.0, 2.0 / 3.0)):
+            assert in_z_pm(x, pair[0]) is _ref_frac_matches(x, pair), (x, pair)
+        for r in (0.25, 1.0 / 3.0, 1.0 / 6.0):
+            assert in_z_pm(x, r) is _ref_in_z_pm(x, r), (x, r)
+    # on the grid, r = 0 and 1/2 are hit at one k per n, other r at two, each
+    # at the 6 offsets within INT_TOL (0 counted once per sign)
+    for r in (0.0, 0.25, 1.0 / 3.0, 1.0 / 6.0, 0.5):
+        hits = sum(in_z_pm(x, r) for x in _residue_grid())
+        assert hits == 9 * (1 if r in (0.0, 0.5) else 2) * 6, r
 
 
 def test_gamma_examples():

@@ -44,6 +44,22 @@ L, F = Branch.LEGENDRE, Branch.FERRERS
         (1.75, 0.25, CaseTag.REDUCIBLE),
         (0.3, 0.5, CaseTag.QUASI_DIHEDRAL),
         (0.2, 0.1, CaseTag.GENERIC),
+        # integer-shifted and negative members of every tag
+        (-1.0 / 6.0 - 3.0, 0.25 + 2.0, CaseTag.OCTAHEDRAL),
+        (-1.0 / 6.0 + 2.0, -1.25, CaseTag.OCTAHEDRAL),
+        (-3.0, 1.0 / 7.0 - 2.0, CaseTag.QUASI_CYCLIC),
+        (2.0, -1.0 / 7.0, CaseTag.QUASI_CYCLIC),
+        (-0.25 + 3.0, 1.0 / 3.0 - 2.0, CaseTag.TETRAHEDRAL_A),
+        (-2.25, -1.0 / 3.0, CaseTag.TETRAHEDRAL_A),
+        (-1.0 / 6.0 - 2.0, 1.0 / 3.0 + 1.0, CaseTag.TETRAHEDRAL_B),
+        (5.0 / 6.0 - 4.0, -2.0 / 3.0, CaseTag.TETRAHEDRAL_B),
+        (1.75 - 3.0, 0.25 + 3.0, CaseTag.REDUCIBLE),
+        (2.3, -0.3, CaseTag.REDUCIBLE),
+        (-2.5, -1.5, CaseTag.REDUCIBLE),
+        (0.3 + 2.0, 0.5 - 3.0, CaseTag.QUASI_DIHEDRAL),
+        (-1.3, 1.5, CaseTag.QUASI_DIHEDRAL),
+        (0.2 - 3.0, 0.1 + 2.0, CaseTag.GENERIC),
+        (-0.2, -0.1, CaseTag.GENERIC),
     ],
 )
 def test_classify_primary(nu, mu, tag):

@@ -1,32 +1,26 @@
-"""Elliptic integrals, bilinear kernels, exponent differences, and the
-quarter-parameter elliptic identity."""
+"""Elliptic integrals, bilinear kernels, and the quarter-parameter elliptic
+identity."""
 
 import math
-from fractions import Fraction
 
 import pytest
 
-from gegenfun.errors import DomainMismatch, OutOfRange, RuleNotApplicable
+from gegenfun.errors import DomainMismatch, OutOfRange
 from gegenfun.hypergeometric import gauss_2f1_scalar
 from gegenfun.poisson import (
     KernelArgs,
     bilinear_coeffs,
     bilinear_partial_sum,
     bilinear_tail_bound,
-    canonical_triple,
     companion_kernel,
-    cubic_step,
     elliptic_e,
     elliptic_k,
     elliptic_quarter_lhs,
     elliptic_quarter_rhs,
-    exponent_differences,
     kernel_arguments,
     operator_relation_check,
     poisson_kernel,
-    quadratic_step,
     quarter_kernel_elliptic,
-    sextic_reachable,
 )
 
 KERNEL_POINTS = ((1.0, 1.7, 0.15), (1.2, 2.0, -0.2), (0.8, 0.8, 0.1), (1.4, 1.4, -0.15))
@@ -114,35 +108,6 @@ def test_kernel_trivial_t0_and_symmetry():
 def test_operator_relation():
     for lam in (0.25, 1.0 / 6.0):
         assert operator_relation_check(lam, 1.0, 1.7, 12) <= 1e-9
-
-
-def test_exponent_differences():
-    assert exponent_differences(0.5, 0.5, 1.0) == (Fraction(0), Fraction(0), Fraction(0))
-    lam = Fraction(1, 4)
-    tri = canonical_triple((1 - 2 * lam, 0, 0))
-    assert tri == (Fraction(0), Fraction(0), Fraction(1, 2))
-    assert quadratic_step(tri) == (Fraction(0), Fraction(0), Fraction(0))
-    assert sextic_reachable(tri)
-    lam = Fraction(1, 6)
-    tri_z = canonical_triple((Fraction(1, 2) - lam, 0, Fraction(1, 2)))
-    assert quadratic_step(tri_z) == (Fraction(0), Fraction(1, 3), Fraction(1, 3))
-    assert cubic_step(quadratic_step(tri_z)) == (Fraction(0), Fraction(0), Fraction(0))
-    assert sextic_reachable(tri_z)
-    # the tilde variant at lam = 1/6 is NOT reachable by these rules
-    assert not sextic_reachable(canonical_triple((1 - 2 * lam, 0, 0)))
-
-
-def test_exponent_rules_not_applicable():
-    with pytest.raises(RuleNotApplicable):
-        quadratic_step((Fraction(1, 3), Fraction(0), Fraction(0)))
-    with pytest.raises(RuleNotApplicable):
-        cubic_step((Fraction(1, 2), Fraction(1, 3), Fraction(0)))
-
-
-def test_quadratic_step_exact_rationals():
-    tri = quadratic_step((Fraction(1, 2), Fraction(1, 5), Fraction(1, 7)))
-    # duplicate the larger remaining entry, double the smaller
-    assert tri == canonical_triple((Fraction(1, 5), Fraction(1, 5), Fraction(2, 7)))
 
 
 def test_elliptic_quarter_identity():
