@@ -96,7 +96,7 @@ def _sample(point: dict[str, str], check, tol: float) -> SampleResult:
 def _deviation(result, order: int) -> float:
     if isinstance(result, tuple):
         lhs, rhs = result
-        return mixed_deviation(lhs, rhs, min(order, lhs.order, rhs.order))
+        return mixed_deviation(lhs, rhs, order)
     return result
 
 

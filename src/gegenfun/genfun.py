@@ -4,9 +4,9 @@ Naming: R2 is the polynomial 1 - 2xt + t**2 (so R = R2**(1/2) with R(0) = 1),
 U2 is 1 - 2(1-u)xt + (1-u)**2 t**2, and Q is R**2 + u(x-t)t, which expands to
 the polynomial 1 - (2-u)xt + (1-u)t**2.
 
-Every builder returns series truncated to the requested order; internal work
-happens at a slightly higher order so that valuation-shifting divisions never
-eat into the reported window.
+Every builder works at the order it reports.  Only the two radical examples
+below divide out a valuation, and each pads its working order by exactly the
+coefficients that division removes.
 
 Left sides are weighted Gegenbauer sums (`lhs_ratio`, `lhs_extended_first`,
 `lhs_lemma`), each rejecting an excluded lam.  Each parameter relation has one
@@ -69,7 +69,8 @@ def _one_minus_xt(x: Scalar, order: int) -> TruncatedSeries:
 
 
 def _t(order: int) -> TruncatedSeries:
-    return TruncatedSeries.variable(order)
+    """The series t; at order 0 it is the zero series."""
+    return TruncatedSeries.from_polynomial([0.0, 1.0], order)
 
 
 # -- left-hand sides: weight families times Gegenbauer values -------------------
@@ -206,17 +207,16 @@ def first_gf(
     (x**2-1)t**2/(1-xt)**2)."""
     triple = _gauss_triple(lam, gamma, variant)
     lhs = lhs_ratio(lam, *_first_weights(lam, gamma), x, order)
-    wo = order + 2
     if variant == "a":
-        r2 = _r2(x, wo)
+        r2 = _r2(x, order)
         r = pow_alpha(r2, 0.5)
-        arg = div(r + TruncatedSeries.from_polynomial([-1.0, x], wo), 2.0 * r)
+        arg = div(r + TruncatedSeries.from_polynomial([-1.0, x], order), 2.0 * r)
         rhs = pow_alpha(r2, -gamma / 2.0) * gauss_2f1_series(*triple, arg)
     else:
-        omxt = _one_minus_xt(x, wo)
-        num = TruncatedSeries.from_polynomial([0.0, 0.0, x * x - 1.0], wo)
+        omxt = _one_minus_xt(x, order)
+        num = TruncatedSeries.from_polynomial([0.0, 0.0, x * x - 1.0], order)
         rhs = pow_alpha(omxt, -gamma) * gauss_2f1_series(*triple, div(num, omxt * omxt))
-    return lhs, rhs.truncate(order)
+    return lhs, rhs
 
 
 def first_rewrite(
@@ -231,9 +231,8 @@ def first_rewrite(
     """
     lam, gamma = _rewrite_params(nu, mu, variant)
     lhs = lhs_ratio(lam, *_first_weights(lam, gamma), x, order)
-    wo = order + 2
-    r2 = _r2(x, wo)
-    omxt = _one_minus_xt(x, wo)
+    r2 = _r2(x, order)
+    omxt = _one_minus_xt(x, order)
     scale = 2.0**-mu * gamma_fn(1.0 - mu)
     if variant == "a":
         f = legendre_analytic_series(nu, mu, omxt * pow_alpha(r2, -0.5))
@@ -241,7 +240,7 @@ def first_rewrite(
     else:
         f = legendre_analytic_series(-0.25, mu, 2.0 * div(r2, omxt * omxt) - 1.0)
         rhs = scale * pow_alpha(omxt, 2.0 * mu - 0.5) * f
-    return lhs, rhs.truncate(order)
+    return lhs, rhs
 
 
 def miller_identities(
@@ -252,12 +251,11 @@ def miller_identities(
     against N!/(2 lam)_N R**(-gamma) C_N((1-xt)/R)."""
     gamma, _ = _miller_gammas(lam, big_n, which, ("g1", "g2"))
     lhs = lhs_ratio(lam, *_first_weights(lam, gamma), x, order)
-    wo = order + 2
-    r2 = _r2(x, wo)
-    z = _one_minus_xt(x, wo) * pow_alpha(r2, -0.5)
+    r2 = _r2(x, order)
+    z = _one_minus_xt(x, order) * pow_alpha(r2, -0.5)
     cn = gegenbauer_of_series(lam, big_n, z)
     scale = math.factorial(big_n) / pochhammer(2.0 * lam, big_n)
-    return lhs, (scale * pow_alpha(r2, -gamma / 2.0) * cn).truncate(order)
+    return lhs, scale * pow_alpha(r2, -gamma / 2.0) * cn
 
 
 def alt_gf(
@@ -266,13 +264,12 @@ def alt_gf(
     """Alternative generating function ((1+R-xt)/2)**(1/2-lam), with (which=1)
     or without (which=2) the extra R**(-1)."""
     lhs = lhs_ratio(lam, *_alt_weights(lam, which), x, order)
-    wo = order + 2
-    r2 = _r2(x, wo)
+    r2 = _r2(x, order)
     r = pow_alpha(r2, 0.5)
-    body = (r + TruncatedSeries.from_polynomial([1.0, -x], wo)) * 0.5
+    body = (r + TruncatedSeries.from_polynomial([1.0, -x], order)) * 0.5
     powed = pow_alpha(body, 0.5 - lam)
     rhs = pow_alpha(r2, -0.5) * powed if which == 1 else powed
-    return lhs, rhs.truncate(order)
+    return lhs, rhs
 
 
 # -- the two explicit radical examples -------------------------------------------
@@ -286,8 +283,8 @@ def octahedral_example(
     e**xi = (1 - (x - sqrt(x**2-1)) t)/R; needs |x| > 1."""
     if abs(x) <= 1.0:
         raise DomainMismatch("the hyperbolic substitution needs |x| > 1")
-    wo = order + 4
     lhs = lhs_ratio(0.25, *_first_weights(0.25, -1.0 / 12.0), x, order)
+    wo = order + 1  # the one coefficient div(sinh_xi, sinh_xi3) shifts out
     r2 = _r2(x, wo)
     sq = cmath.sqrt(complex(x) ** 2 - 1.0)
     e = TruncatedSeries.from_polynomial([1.0, -(x - sq)], wo) * pow_alpha(r2, -0.5)
@@ -298,8 +295,7 @@ def octahedral_example(
     cosh_xi3 = (e3 + e3_inv) * 0.5
     ratio = div(sinh_xi, sinh_xi3)  # 0/0 at t = 0, limit 3; order drops by 1
     bracket = cosh_xi3 + pow_alpha(ratio * (1.0 / 3.0), 0.5)
-    rhs = 2.0**-0.25 * pow_alpha(r2, 1.0 / 24.0) * pow_alpha(bracket, 0.25)
-    return lhs, rhs.truncate(order)
+    return lhs, 2.0**-0.25 * pow_alpha(r2, 1.0 / 24.0) * pow_alpha(bracket, 0.25)
 
 
 @dataclass(frozen=True)
@@ -389,7 +385,7 @@ def tetrahedral_example(
         raise DomainMismatch("the circular substitution needs |x| < 1")
     lhs = lhs_ratio(1.0 / 6.0, *_first_weights(1.0 / 6.0, -1.0 / 12.0), x, order)
 
-    so = 3 * order + 12  # working order in s = t**(1/3)
+    so = 3 * order + 6  # in s = t**(1/3); dividing by 1 - R - xt shifts out s**6
     r2s = TruncatedSeries.from_polynomial(
         [1.0, 0, 0, -2.0 * x, 0, 0, 1.0], so
     )
@@ -511,8 +507,7 @@ def extended_first_gf(
     """u-extension of the first generating function (u = 1 recovers it)."""
     triple = _gauss_triple(lam, gamma, variant)
     lhs = lhs_extended_first(lam, gamma, u, x, order)
-    wo = order + 2
-    r2, u2, q = _r2(x, wo), _u2(u, x, wo), _q_poly(u, x, wo)
+    r2, u2, q = _r2(x, order), _u2(u, x, order), _q_poly(u, x, order)
     if variant == "a":
         ur = pow_alpha(u2, 0.5) * pow_alpha(r2, 0.5)
         f = gauss_2f1_series(*triple, div(ur - q, 2.0 * ur))
@@ -521,7 +516,7 @@ def extended_first_gf(
         qq = q * q
         f = gauss_2f1_series(*triple, div(qq - u2 * r2, qq))
         rhs = pow_alpha(u2, gamma - lam) * pow_alpha(q, -gamma) * f
-    return lhs, rhs.truncate(order)
+    return lhs, rhs
 
 
 def extended_rewrite(
@@ -529,8 +524,7 @@ def extended_rewrite(
 ) -> tuple[TruncatedSeries, TruncatedSeries]:
     """u-extension of the Legendre rewrite (u = 1 recovers it)."""
     lhs = lhs_extended_first(*_rewrite_params(nu, mu, variant), u, x, order)
-    wo = order + 2
-    r2, u2, q = _r2(x, wo), _u2(u, x, wo), _q_poly(u, x, wo)
+    r2, u2, q = _r2(x, order), _u2(u, x, order), _q_poly(u, x, order)
     scale = 2.0**-mu * gamma_fn(1.0 - mu)
     if variant == "a":
         f = legendre_analytic_series(nu, mu, div(q, pow_alpha(u2, 0.5) * pow_alpha(r2, 0.5)))
@@ -538,7 +532,7 @@ def extended_rewrite(
     else:
         f = legendre_analytic_series(-0.25, mu, 2.0 * div(u2 * r2, q * q) - 1.0)
         rhs = scale * pow_alpha(u2, -mu) * pow_alpha(q, 2.0 * mu - 0.5) * f
-    return lhs, rhs.truncate(order)
+    return lhs, rhs
 
 
 def extended_miller(
@@ -549,13 +543,12 @@ def extended_miller(
     the right side is N!/(2 lam)_N U**(-gamma') R**(-gamma) C_N(Q/(UR))."""
     gamma, gamma_other = _miller_gammas(lam, big_n, which, ("plus", "minus"))
     lhs = lhs_extended_first(lam, gamma, u, x, order)
-    wo = order + 2
-    r2, u2, q = _r2(x, wo), _u2(u, x, wo), _q_poly(u, x, wo)
+    r2, u2, q = _r2(x, order), _u2(u, x, order), _q_poly(u, x, order)
     z = div(q, pow_alpha(u2, 0.5) * pow_alpha(r2, 0.5))
     cn = gegenbauer_of_series(lam, big_n, z)
     scale = math.factorial(big_n) / pochhammer(2.0 * lam, big_n)
     rhs = scale * pow_alpha(u2, -gamma_other / 2.0) * pow_alpha(r2, -gamma / 2.0) * cn
-    return lhs, rhs.truncate(order)
+    return lhs, rhs
 
 
 def lemma_key_check(
@@ -589,11 +582,10 @@ def lemma_key_check(
     if not 1 <= len(numerators) <= 2 or not 1 <= len(denominators) <= 2:
         raise ValueError("p and q must be 1 or 2")
     lhs = lhs_lemma(lam, numerators, denominators, u, x, order)
-    wo = order + 2
-    r2 = _r2(x, wo)
+    r2 = _r2(x, order)
     rinv = pow_alpha(r2, -0.5)
-    w = (TruncatedSeries.from_polynomial([x, -1.0], wo) * rinv).coeffs
-    q = (_t(wo) * rinv * (-u)).coeffs
+    w = (TruncatedSeries.from_polynomial([x, -1.0], order) * rinv).coeffs
+    q = (_t(order) * rinv * (-u)).coeffs
     m = order + 1
     acc = np.zeros(m, dtype=DTYPE)
     # qn[n:] holds the window of q**n; the entries below n are stale.
@@ -629,9 +621,8 @@ def second_gf(
     """Product-of-two-2F1 generating function."""
     triple = _gauss_triple(lam, gamma, variant)
     lhs = lhs_ratio(lam, *_second_weights(lam, gamma), x, order)
-    wo = order + 2
-    r = pow_alpha(_r2(x, wo), 0.5)
-    t = _t(wo)
+    r = pow_alpha(_r2(x, order), 0.5)
+    t = _t(order)
     if variant == "a":
         f1 = gauss_2f1_series(*triple, (1.0 - r - t) * 0.5)
         f2 = gauss_2f1_series(*triple, (1.0 - r + t) * 0.5)
@@ -640,9 +631,9 @@ def second_gf(
         rp, rm = r + t, r - t
         f1 = gauss_2f1_series(*triple, div(rp * rp - 1.0, rp * rp))
         f2 = gauss_2f1_series(*triple, div(rm * rm - 1.0, rm * rm))
-        pref = pow_alpha(TruncatedSeries.from_polynomial([1.0, -2.0 * x], wo), -gamma)
+        pref = pow_alpha(TruncatedSeries.from_polynomial([1.0, -2.0 * x], order), -gamma)
         rhs = pref * f1 * f2
-    return lhs, rhs.truncate(order)
+    return lhs, rhs
 
 
 def extended_second_gf(
@@ -652,10 +643,9 @@ def extended_second_gf(
     ordinary generating function)."""
     triple = _gauss_triple(lam, gamma, variant)
     lhs = lhs_lemma(lam, *_second_weights(lam, gamma), u, x, order)
-    wo = order + 2
-    r2, u2 = _r2(x, wo), _u2(u, x, wo)
+    r2, u2 = _r2(x, order), _u2(u, x, order)
     r, us = pow_alpha(r2, 0.5), pow_alpha(u2, 0.5)
-    ut = _t(wo) * u
+    ut = _t(order) * u
     if variant == "a":
         f1 = gauss_2f1_series(*triple, div(r - us + ut, 2.0 * r))
         f2 = gauss_2f1_series(*triple, div(r - us - ut, 2.0 * r))
@@ -666,7 +656,7 @@ def extended_second_gf(
         f2 = gauss_2f1_series(*triple, div(up * up - r2, up * up))
         pref = pow_alpha(u2 - ut * ut, -gamma) * pow_alpha(r2, gamma - lam)
         rhs = pref * f1 * f2
-    return lhs, rhs.truncate(order)
+    return lhs, rhs
 
 
 def second_rewrite(
@@ -675,24 +665,23 @@ def second_rewrite(
     """Second generating function through the analytic Legendre combination."""
     lam, gamma = _rewrite_params(nu, mu, variant)
     lhs = lhs_ratio(lam, *_second_weights(lam, gamma), x, order)
-    wo = order + 2
-    r = pow_alpha(_r2(x, wo), 0.5)
-    t = _t(wo)
+    r = pow_alpha(_r2(x, order), 0.5)
+    t = _t(order)
     scale = 2.0 ** (-2.0 * mu) * gamma_fn(1.0 - mu) ** 2
     if variant == "a":
         rhs = scale * legendre_analytic_series(nu, mu, r + t) * legendre_analytic_series(nu, mu, r - t)
     else:
         rm, rp = r - t, r + t
-        zp = 2.0 * div(TruncatedSeries.from_constant(1.0, wo), rm * rm) - 1.0
-        zm = 2.0 * div(TruncatedSeries.from_constant(1.0, wo), rp * rp) - 1.0
-        pref = pow_alpha(TruncatedSeries.from_polynomial([1.0, -2.0 * x], wo), 2.0 * mu - 0.5)
+        zp = 2.0 * div(TruncatedSeries.from_constant(1.0, order), rm * rm) - 1.0
+        zm = 2.0 * div(TruncatedSeries.from_constant(1.0, order), rp * rp) - 1.0
+        pref = pow_alpha(TruncatedSeries.from_polynomial([1.0, -2.0 * x], order), 2.0 * mu - 0.5)
         rhs = (
             scale
             * pref
             * legendre_analytic_series(-0.25, mu, zp)
             * legendre_analytic_series(-0.25, mu, zm)
         )
-    return lhs, rhs.truncate(order)
+    return lhs, rhs
 
 
 # -- algebraicity classification -----------------------------------------------------

@@ -61,7 +61,7 @@ def pochhammer(a: Scalar, n: int) -> complex:
 
 def gamma_fn(x: float) -> float:
     """Real Gamma function; poles at non-positive integers are rejected."""
-    if x <= 0 and abs(x - round(x)) <= INT_TOL:
+    if as_negative_integer(x) is not None:
         raise PoleAtNonPositiveInteger(f"Gamma pole at x = {x}")
     return math.gamma(x)
 
@@ -91,15 +91,15 @@ def gauss_2f1_coeffs(a: Scalar, b: Scalar, c: Scalar, order: int) -> np.ndarray:
         raise ValueError("order must be non-negative")
     n_term = _termination_index(a, b)
     _check_denominator(c, n_term, order)
-    out = np.zeros(order + 1, dtype=DTYPE)
+    n = order if n_term is None else min(order, n_term)
+    k = np.arange(n)
     aa, bb, cc = DTYPE(a), DTYPE(b), DTYPE(c)
-    term = DTYPE(1.0)
-    out[0] = term
-    for k in range(order):
-        if n_term is not None and k >= n_term:
-            break
-        term *= (aa + k) * (bb + k) / ((cc + k) * (k + 1))
-        out[k + 1] = term
+    # [1, r_0, r_1, ...] with r_k the ratio of terms k + 1 and k; the leading
+    # 1 makes the first product 1 r_0, as a running product from 1 forms it.
+    ratios = np.ones(n + 1, dtype=DTYPE)
+    ratios[1:] = (aa + k) * (bb + k) / ((cc + k) * (k + 1))
+    out = np.zeros(order + 1, dtype=DTYPE)
+    out[: n + 1] = np.multiply.accumulate(ratios)
     return out
 
 

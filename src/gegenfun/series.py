@@ -279,7 +279,7 @@ def pow_alpha(a: TruncatedSeries, alpha: Scalar) -> TruncatedSeries:
     _BLOCK steps m in one array operation, with the operations and dtypes of
     the textbook loop, so every coefficient is bitwise identical to it.
 
-    The loop runs on the lattice g Z, where g is the gcd of the exponents
+    Both paths run on the lattice g Z, where g is the gcd of the exponents
     k >= 1 with a_k nonzero, as for a function of t**g.  Off the lattice every
     product has an exact-zero factor (a_k, or b_{m-k} by induction), so the
     loop's dot sum is +0 and step m gives +0 / (m a_0), formed in one array
@@ -306,11 +306,12 @@ def pow_alpha(a: TruncatedSeries, alpha: Scalar) -> TruncatedSeries:
     ak = (alpha + 1) * steps
     ac = a.coeffs[1:]
     support = np.flatnonzero(ac)
+    # With an empty tail no step lies on the lattice.
+    g = _lattice(support) or n + 1
+    if g > 1:
+        off = _off_lattice(n, g)
+        out[off] = _ZERO / (off * a0)
     if support.size > _SPARSE_MAX:
-        g = _lattice(support)
-        if g > 1:
-            off = _off_lattice(n, g)
-            out[off] = _ZERO / (off * a0)
         akg, acg = ak[g - 1 :: g], ac[g - 1 :: g]
         for first in range(g, n + 1, _BLOCK * g):
             ms = np.arange(first, min(first + _BLOCK * g, n + 1), g)
@@ -323,14 +324,14 @@ def pow_alpha(a: TruncatedSeries, alpha: Scalar) -> TruncatedSeries:
     # Per nonzero ac[k], its weighted coefficient at every step m, formed as
     # the array loop forms it: ((alpha+1)(k+1) - m) ac[k].
     terms = [(int(k), list((ak[k] - steps) * ac[k])) for k in support]
-    vals = [out[0]]
-    for m in range(1, n + 1):
+    vals = list(out)
+    for m in range(g, n + 1, g):
         acc = _ZERO
         for k, wc in terms:
             if k >= m:
                 break
             acc = acc + wc[m - 1] * vals[m - 1 - k]
-        vals.append(acc / (m * a0))
+        vals[m] = acc / (m * a0)
     return TruncatedSeries(np.array(vals, dtype=DTYPE))
 
 

@@ -33,6 +33,23 @@ def test_catalog_contains_stable_ids():
     assert len(ids) == len(set(ids))
 
 
+@pytest.mark.parametrize("order", (0, 1, 16))
+def test_series_rows_return_both_sides_at_the_order(order):
+    # the runner compares the window 0..order and raises on a shorter side
+    rows = 0
+    for entry in catalog.CATALOG:
+        if entry.axis is None:
+            continue
+        i = entry.fields.index(entry.axis)
+        results = [entry.check(*case[:i], v, *case[i + 1 :], order) for case in entry.cases for v in case[i]]
+        if not isinstance(results[0], tuple):
+            continue
+        rows += 1
+        for lhs, rhs in results:
+            assert (lhs.order, rhs.order) == (order, order), entry.id
+    assert rows == len(SPEC_IDS) - 1  # every listed id but subst.table
+
+
 def test_run_identity_basic():
     r = catalog.run_identity("alt.1", order=12, tol=1e-8)
     assert r.overall_pass
@@ -272,6 +289,18 @@ def test_cli_closed_stdout_exits_1_without_traceback():
 # runtime_ms set to 0, CSV) per order: a kernel change that moves one bit of
 # one reported deviation changes them.
 VERIFY_ALL_SHA256 = {
+    0: (
+        "1edcdb6a930b1e74a7153883ba2cdd1a2761bbd8b6ad5b7e08eb68b9c6efff35",
+        "0603683c71963f4bb045ad4e15c7e0562068cf2d74b30d249feb66cab971d0e6",
+    ),
+    2: (
+        "38975ecca7e5025553499b51c6f8695cff47f6d8c14ef35d2b23b66fe1526857",
+        "d65617ec58b4cde58e6fdfe41f9eab172563b85b2c8e17a0f9bbca81f356cb0a",
+    ),
+    8: (
+        "57e6ea51d24ca287ca2d72fcd4bbcc085170290ed2a0c19fe2958b8dfe821bc0",
+        "10324d7ee104d73d8ab200bb62fa866e0387d701402c088ab4f0518ee4742a57",
+    ),
     16: (
         "f6ccfb61df1cd962587c93aad9856464e45920c97f1bfa1342ae79916f51949e",
         "fe930c594a753aadeac3324ca4dc13a8be0516cb894dde7bd9c974b331dc18a5",

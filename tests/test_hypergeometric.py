@@ -57,6 +57,36 @@ def test_2f1_coeffs_pole_detection():
         gauss_2f1_coeffs(-3.0, 1.0, -2.0, 5)
 
 
+def _ref_gauss_2f1_coeffs(a, b, c, order):
+    """The running-product loop the one-pass accumulate replaced."""
+    n_term = _termination_index(a, b)
+    _check_denominator(c, n_term, order)
+    out = np.zeros(order + 1, dtype=DTYPE)
+    aa, bb, cc = DTYPE(a), DTYPE(b), DTYPE(c)
+    term = DTYPE(1.0)
+    out[0] = term
+    for k in range(order):
+        if n_term is not None and k >= n_term:
+            break
+        term *= (aa + k) * (bb + k) / ((cc + k) * (k + 1))
+        out[k + 1] = term
+    return out
+
+
+@pytest.mark.parametrize("order", (0, 1, 2, 16, 66, 204))
+def test_2f1_coeffs_bitwise_matches_loop(order):
+    negzero = complex(-0.0, -0.0)
+    uppers = (0.3, 7.0 / 12.0, -2.0, -5.0, -0.0, negzero, 0.25 - 0.5j, complex(-1.5, -0.0), 1.1j)
+    lowers = (0.5, 1.1, -2.5, 0.3 + 0.4j, complex(1.0, -0.0), complex(-0.0, 1e-3))
+    for a in uppers:
+        for b in uppers:
+            for c in lowers:
+                got, ref = gauss_2f1_coeffs(a, b, c, order), _ref_gauss_2f1_coeffs(a, b, c, order)
+                assert got.dtype == ref.dtype and np.array_equal(got, ref), (a, b, c)
+                for part in (np.real, np.imag):
+                    assert np.array_equal(np.signbit(part(got)), np.signbit(part(ref))), (a, b, c)
+
+
 def test_2f1_scalar_trivials():
     assert gauss_2f1_scalar(0.3, 0.9, 1.4, 0.0) == 1.0
     assert abs(gauss_2f1_scalar(-2.0, 1.0, 1.0, 1.0)) <= 1e-14  # (1-z)^2 at z=1
@@ -394,6 +424,15 @@ def test_gamma_pole():
     for x in (0.0, -1.0, -4.0):
         with pytest.raises(PoleAtNonPositiveInteger):
             gamma_fn(x)
+
+
+def test_gamma_pole_matches_negative_integer_reading():
+    # within INT_TOL of a pole, on either side, is the pole, as
+    # as_negative_integer reads it; just past INT_TOL is a regular point
+    for x in (5e-10, 1e-9, -5e-10, -4.0 + 5e-10):
+        with pytest.raises(PoleAtNonPositiveInteger):
+            gamma_fn(x)
+    assert gamma_fn(2e-9) == math.gamma(2e-9)
 
 
 def test_gauss_ode_residual():

@@ -378,6 +378,11 @@ SPARSE_POLYS = (
     [1.0, -2 * 0.0, 1.0],  # a -0 middle coefficient, as R^2 at x = 0 has
     [2.0 + 1j, 0.0, 0.25 - 0.5j, 0.0, 0.0, -0.125 + 0.0625j],
     [1.0, 0.0, -0.5 + 0.25j, 0.0, 0.125, 0.0, -2.0],  # a function of t^2
+    # pow_alpha fills the steps off the lattice: every step of a constant,
+    # here with a negative a0, and -0 gaps in functions of t^2 and t^3
+    [-2.0],
+    [-1.0 - 0.25j, -0.0, 0.5],
+    [complex(1.5, -0.0), 0.0, complex(0.0, -0.0), -2 * 1.7, -0.0, 0.0, 1.0],
 )
 
 
