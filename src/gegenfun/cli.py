@@ -18,7 +18,7 @@ import os
 import sys
 
 from . import catalog, legendre, poisson
-from .errors import GegenfunError
+from .errors import GegenfunError, InvalidMu
 from .gegenbauer import gegenbauer_recurrence
 from .genfun import algebraicity
 from .hypergeometric import INT_TOL
@@ -166,7 +166,10 @@ def _eval_legendre(args) -> float:
         branch = Branch.LEGENDRE if args.z > 1.0 else Branch.FERRERS
         if cls.primary is CaseTag.REDUCIBLE:
             n = round(nu + mu) if round(nu + mu) >= 0 else round(mu - nu - 1.0)
-            return legendre.reducible_case(mu, n, args.z, branch).real
+            try:
+                return legendre.reducible_case(mu, n, args.z, branch).real
+            except InvalidMu:
+                pass  # the closed form excludes this mu; the oracle does not
         return legendre.legendre_p_hypergeometric(nu, mu, args.z, branch).real
     if args.xi is not None:
         arg, branch = args.xi, Branch.LEGENDRE
@@ -175,13 +178,13 @@ def _eval_legendre(args) -> float:
     else:
         raise ValueError("provide --xi (hyperbolic), --theta (circular), or --z")
     sign = 1 if mu > 0 else -1
-    if cls.primary is CaseTag.OCTAHEDRAL and _base_degree(nu, (-1.0 / 6.0,)):
+    if CaseTag.OCTAHEDRAL in cls.matches and _base_degree(nu, (-1.0 / 6.0,)):
         return legendre.octahedral_p(sign, arg, branch)
-    if cls.primary is CaseTag.TETRAHEDRAL_A and _base_degree(nu, (-0.25,)):
+    if CaseTag.TETRAHEDRAL_A in cls.matches and _base_degree(nu, (-0.25,)):
         return legendre.tetrahedral_p(sign, arg, branch)
-    if cls.primary is CaseTag.QUASI_CYCLIC and _base_degree(nu, (0.0,)):
+    if CaseTag.QUASI_CYCLIC in cls.matches and _base_degree(nu, (0.0,)):
         return legendre.cyclic_case(mu, arg, branch)
-    if cls.primary is CaseTag.QUASI_DIHEDRAL and abs(mu - 0.5) <= INT_TOL:
+    if CaseTag.QUASI_DIHEDRAL in cls.matches and abs(mu - 0.5) <= INT_TOL:
         return legendre.dihedral_case(nu, arg, branch)
     raise ValueError(
         f"no closed form implemented for ({nu}, {mu}) [{cls.primary.value}]; "

@@ -22,11 +22,12 @@ need special care:
 * e**xi = (1 - (x - sqrt(x**2-1)) t) / R has constant term 1 (xi -> 0 with t),
   so sinh(xi)/sinh(xi/3) is a 0/0 ratio resolved by the valuation shift.
 * e**xi = t sqrt(x**2-1) / (1 - R - xt) has a genuine t**(-1) pole, and its
-  cube root carries t**(-1/3); those pieces are tracked as pairs
-  (integer exponent k, regular series in s) with t = s**3, every exponent an
-  integer power of s.  The final combination must land on non-negative
-  exponents divisible by 3 (a genuine power series in t); leftovers above
-  tolerance raise UncancelledPole.
+  cube root carries t**(-1/3).  The pole is factored by hand: with t = s**3,
+  s**3 e**xi is a regular series in s with constant term 2/sqrt|x**2-1|, and
+  every intermediate is a plain series in s times a power of s known from
+  that factor.  The final combination must land on exponents divisible by 3
+  (a genuine power series in t); leftovers above tolerance raise
+  UncancelledPole.
 """
 
 from __future__ import annotations
@@ -298,72 +299,15 @@ def octahedral_example(
     return lhs, 2.0**-0.25 * pow_alpha(r2, 1.0 / 24.0) * pow_alpha(bracket, 0.25)
 
 
-@dataclass(frozen=True)
-class _Graded:
-    """s**k times a regular series in s (s**3 = t); exponents stay integers."""
-
-    k: int
-    body: TruncatedSeries
-
-    def normalized(self) -> "_Graded":
-        v = self.body.valuation()
-        if v is None or v == 0:
-            return self
-        return _Graded(self.k + v, _shift_down(self.body, v))
-
-
-def _graded(body: TruncatedSeries) -> _Graded:
-    return _Graded(0, body).normalized()
-
-
-def _gmul(a: _Graded, b: _Graded) -> _Graded:
-    return _Graded(a.k + b.k, a.body * b.body)
-
-
-def _gdiv(a: _Graded, b: _Graded) -> _Graded:
-    a, b = a.normalized(), b.normalized()
-    return _Graded(a.k - b.k, div(a.body, b.body))
-
-
-def _gadd(a: _Graded, b: _Graded) -> _Graded:
-    k = min(a.k, b.k)
-    return _Graded(k, _shift_up(a.body, a.k - k) + _shift_up(b.body, b.k - k))
-
-
-def _gpow(a: _Graded, num: int, den: int) -> _Graded:
-    a = a.normalized()
-    if (a.k * num) % den:
-        raise UncancelledPole(
-            f"power {num}/{den} of grade {a.k} leaves a fractional exponent"
-        )
-    return _Graded(a.k * num // den, pow_alpha(a.body, num / den))
-
-
-def _gscale(a: _Graded, c: Scalar) -> _Graded:
-    return _Graded(a.k, a.body * c)
-
-
-def _graded_to_t_series(a: _Graded, min_order: int) -> TruncatedSeries:
-    """Collapse exponents 3n -> t**n; any residue at negative or non-multiple
-    exponents above tolerance is an uncancelled pole."""
-    a = a.normalized()
-    coeffs = a.body.coeffs
-    tol = 1e-9 * max(1.0, float(np.max(np.abs(coeffs))))
-    top = a.k + a.body.order
-    if top < 3 * min_order:
-        raise ValueError("insufficient working order for the requested window")
-    out = np.zeros(top // 3 + 1, dtype=DTYPE)
-    for j, c in enumerate(coeffs):
-        e = a.k + j
-        if e < 0 or e % 3:
-            if abs(c) > tol:
-                kind = "negative" if e < 0 else "fractional"
-                raise UncancelledPole(
-                    f"{kind} exponent {e}/3 retains coefficient {abs(c):.3e}"
-                )
-            continue
-        out[e // 3] = c
-    return TruncatedSeries(out)
+def _collapse_to_t(a: TruncatedSeries) -> TruncatedSeries:
+    """A series in s whose exponents divisible by 3 become powers of t = s**3;
+    a residue above tolerance at any other exponent is an uncancelled pole."""
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(a.coeffs))))
+    for j, c in enumerate(a.coeffs):
+        if j % 3 and abs(c) > tol:
+            raise UncancelledPole(f"fractional exponent {j}/3 retains coefficient {abs(c):.3e}")
+    # the constructor's real view of the coefficients needs contiguous storage
+    return TruncatedSeries(a.coeffs[::3].copy())
 
 
 def tetrahedral_example(
@@ -375,6 +319,11 @@ def tetrahedral_example(
     [sqrt(sqrt(3)+1) f+ + sqrt(sqrt(3)-1) f-] at e**xi = t sqrt(x**2-1)/(1-R-xt);
     branch "circular" (|x| < 1): same with cosh, g±, and
     e**xi = t sqrt(1-x**2)/(-1+R+xt).
+
+    Every intermediate is a regular series in s = t**(1/3) times a power of s
+    fixed by hand, noted on its line: s**3 e**xi is regular with constant term
+    2/sqrt|x**2-1|, so each radical carries the power of s that cancels its
+    share of the pole.
     """
     if branch not in ("hyperbolic", "circular"):
         raise ValueError(f"unknown branch {branch!r}")
@@ -397,33 +346,26 @@ def tetrahedral_example(
     else:
         sq = math.sqrt(1.0 - x * x)
         den = rs + x * ts - 1.0
-    e = _gdiv(_graded(ts * sq), _graded(den))  # exponent -3
-    e3 = _gpow(e, 1, 3)
-    e_inv, e3_inv = _gpow(e, -1, 1), _gpow(e3, -1, 1)
-    half = 0.5
-    sh3 = _gscale(_gadd(e3, _gscale(e3_inv, -1.0)), half)
-    ch3 = _gscale(_gadd(e3, e3_inv), half)
+    e = div(_shift_down(ts * sq, 3), _shift_down(den, 6))  # s**3 e**xi
+    e3 = pow_alpha(e, 1.0 / 3.0)  # s e**(xi/3)
+    e_inv = _shift_up(pow_alpha(e, -1.0), 6)  # s**3 e**(-xi)
+    e3_inv = _shift_up(pow_alpha(e3, -1.0), 2)  # s e**(-xi/3)
+    sh3 = (e3 - e3_inv) * 0.5  # s sinh(xi/3)
+    ch3 = (e3 + e3_inv) * 0.5  # s cosh(xi/3)
     if hyper:
-        big = _gscale(_gadd(e, _gscale(e_inv, -1.0)), half)  # sinh xi
-        s_rad = _gpow(_gscale(_gdiv(big, sh3), 1.0 / 3.0), 1, 2)
-        bracket_plus = _gadd(ch3, s_rad)
-        bracket_minus = _gdiv(_gscale(_gmul(sh3, sh3), 1.0 / 3.0), bracket_plus)
-    else:
-        big = _gscale(_gadd(e, e_inv), half)  # cosh xi
-        s_rad = _gpow(_gscale(_gdiv(big, ch3), 1.0 / 3.0), 1, 2)
-        bracket_plus = _gadd(sh3, s_rad)
-        bracket_minus = _gdiv(_gscale(_gmul(ch3, ch3), 1.0 / 3.0), bracket_plus)
-    rad_plus = _gpow(_gmul(big, bracket_plus), 1, 4)
-    rad_minus = _gpow(_gmul(big, bracket_minus), 1, 4)
-    combo = _gadd(
-        _gscale(rad_plus, math.sqrt(math.sqrt(3.0) + 1.0)),
-        _gscale(rad_minus, math.sqrt(math.sqrt(3.0) - 1.0)),
+        big, a, b = (e - e_inv) * 0.5, sh3, ch3  # s**3 sinh xi
+    else:  # the circular branch swaps the roles of sinh(xi/3) and cosh(xi/3)
+        big, a, b = (e + e_inv) * 0.5, ch3, sh3  # s**3 cosh xi
+    s_rad = pow_alpha(div(big, a) * (1.0 / 3.0), 0.5)  # s; the quotient carries s**2
+    bracket_plus = b + s_rad  # s
+    bracket_minus = div(a * a * (1.0 / 3.0), bracket_plus)  # s; a * a carries s**2
+    rad_plus = pow_alpha(big * bracket_plus, 0.25)  # s; the product carries s**4
+    rad_minus = pow_alpha(big * bracket_minus, 0.25)  # s
+    combo = (  # s
+        rad_plus * math.sqrt(math.sqrt(3.0) + 1.0) + rad_minus * math.sqrt(math.sqrt(3.0) - 1.0)
     )
-    total = _gmul(_gpow(big, -1, 3), combo)
-    total = _gmul(_graded(pow_alpha(r2s, 1.0 / 24.0)), total)
-    total = _gscale(total, 2.0 ** (-7.0 / 12.0) * 3.0**-0.375)
-    rhs = _graded_to_t_series(total, order)
-    return lhs, rhs.truncate(order)
+    total = pow_alpha(r2s, 1.0 / 24.0) * (pow_alpha(big, -1.0 / 3.0) * combo)  # s**-1 times s
+    return lhs, _collapse_to_t(total * (2.0 ** (-7.0 / 12.0) * 3.0**-0.375))
 
 
 # -- substitution table -----------------------------------------------------------

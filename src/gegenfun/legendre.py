@@ -192,37 +192,26 @@ def dihedral_case(nu: float, arg: float, branch: Branch = Branch.LEGENDRE) -> fl
     return c * math.cos((nu + 0.5) * arg) / math.sqrt(math.sin(arg))
 
 
-def _brackets_cosh(xi: float) -> tuple[float, float]:
-    """(+cosh(xi/3) + s, -cosh(xi/3) + s) with s = sqrt(sinh xi / (3 sinh(xi/3)))."""
-    s = math.sqrt(math.sinh(xi) / (3.0 * math.sinh(xi / 3.0)))
-    plus = math.cosh(xi / 3.0) + s
-    minus = (math.sinh(xi / 3.0) ** 2 / 3.0) / plus
-    return plus, minus
+def _conjugate_brackets(f, g, arg: float) -> tuple[float, float]:
+    """The brackets |g(arg/3)| + s and ||g(arg/3)| - s| with
+    s = sqrt(f(arg) / (3 f(arg/3))), swapped when g(arg/3) < 0 so that the
+    first is g(arg/3) + s.
 
-
-def _brackets_cos(theta: float) -> tuple[float, float]:
-    """(cos(th/3) + s, cos(th/3) - s) with s = sqrt(sin th / (3 sin(th/3)))."""
-    s = math.sqrt(math.sin(theta) / (3.0 * math.sin(theta / 3.0)))
-    big = math.cos(theta / 3.0) + s
-    small = (math.sin(theta / 3.0) ** 2 / 3.0) / big
-    return big, small
-
-
-def _brackets_sinh(xi: float) -> tuple[float, float]:
-    """(+sinh(xi/3) + s, -sinh(xi/3) + s) with s = sqrt(cosh xi / (3 cosh(xi/3)))."""
-    s = math.sqrt(math.cosh(xi) / (3.0 * math.cosh(xi / 3.0)))
-    stable = abs(math.sinh(xi / 3.0)) + s
-    other = (math.cosh(xi / 3.0) ** 2 / 3.0) / stable
-    if xi >= 0.0:
-        return stable, other
-    return other, stable
+    The second is formed as f(arg/3)**2 / 3 over the first, their conjugate
+    product for (f, g) = (sinh, cosh), (sin, cos) and (cosh, sinh), so it
+    keeps its digits.
+    """
+    s = math.sqrt(f(arg) / (3.0 * f(arg / 3.0)))
+    stable = abs(g(arg / 3.0)) + s
+    other = f(arg / 3.0) ** 2 / 3.0 / stable
+    return (other, stable) if g(arg / 3.0) < 0.0 else (stable, other)
 
 
 def octahedral_h(sign: int, xi: float) -> float:
     """Quartic radical {(sinh xi)^(-1) [±cosh(xi/3) + s]}^(1/4) for xi > 0."""
     if xi <= 0.0:
         raise ArgumentOutOfDomain("octahedral h needs xi > 0")
-    plus, minus = _brackets_cosh(xi)
+    plus, minus = _conjugate_brackets(math.sinh, math.cosh, xi)
     bracket = plus if sign > 0 else minus
     return (bracket / math.sinh(xi)) ** 0.25
 
@@ -231,7 +220,7 @@ def octahedral_k(sign: int, theta: float) -> float:
     """Circular counterpart {(sin th)^(-1) [cos(th/3) ± s]}^(1/4) for th in (0, pi)."""
     if not 0.0 < theta < math.pi:
         raise ArgumentOutOfDomain("octahedral k needs theta in (0, pi)")
-    big, small = _brackets_cos(theta)
+    big, small = _conjugate_brackets(math.sin, math.cos, theta)
     bracket = big if sign > 0 else small
     return (bracket / math.sin(theta)) ** 0.25
 
@@ -248,14 +237,14 @@ def tetrahedral_f(sign: int, xi: float) -> float:
     """Quartic radical {(sinh xi) [±cosh(xi/3) + s]}^(1/4) for xi > 0."""
     if xi <= 0.0:
         raise ArgumentOutOfDomain("tetrahedral f needs xi > 0")
-    plus, minus = _brackets_cosh(xi)
+    plus, minus = _conjugate_brackets(math.sinh, math.cosh, xi)
     bracket = plus if sign > 0 else minus
     return (math.sinh(xi) * bracket) ** 0.25
 
 
 def tetrahedral_g(sign: int, xi: float) -> float:
     """Quartic radical {(cosh xi) [±sinh(xi/3) + s]}^(1/4) for real xi."""
-    plus, minus = _brackets_sinh(xi)
+    plus, minus = _conjugate_brackets(math.cosh, math.sinh, xi)
     bracket = plus if sign > 0 else minus
     return (math.cosh(xi) * bracket) ** 0.25
 

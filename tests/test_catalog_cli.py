@@ -234,6 +234,28 @@ def test_cli_eval_legendre_octahedral(capsys):
     assert abs(got - octahedral_p(+1, 0.8)) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "nu,expected",
+    [(1.0, 1.5330047767743853), (0.5, 1.1323490774891338)],  # mpmath legenp(nu, 1/2, cosh 0.8, type=3)
+)
+def test_cli_eval_legendre_secondary_tag(nu, expected, capsys):
+    # QuasiCyclic (nu = 1) and Reducible (nu = 1/2) are primary; the closed
+    # form comes from the QuasiDihedral tag that also matches
+    assert main(["eval", "legendre", "--nu", str(nu), "--mu", "0.5", "--xi", "0.8"]) == 0
+    assert abs(float(capsys.readouterr().out) - expected) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "nu,mu,z,expected",
+    [(0.5, 0.5, 1.5, 1.1318889424987415), (0.5, 1.5, 1.5, -0.6749281649086764),
+     (1.5, 0.5, 0.4, -0.5667338495122882)],  # mpmath legenp, type 3 for z > 1, else 2
+)
+def test_cli_eval_legendre_reducible_excluded_mu(nu, mu, z, expected, capsys):
+    # the reducible closed form excludes these mu; the hypergeometric oracle does not
+    assert main(["eval", "legendre", "--nu", str(nu), "--mu", str(mu), "--z", str(z)]) == 0
+    assert abs(float(capsys.readouterr().out) - expected) <= 1e-13 * max(1.0, abs(expected))
+
+
 def test_cli_eval_kernel(capsys):
     from gegenfun.poisson import KernelArgs, poisson_kernel
 

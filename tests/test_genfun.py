@@ -129,15 +129,23 @@ def test_tetrahedral_example():
         gf.tetrahedral_example(1.5, 12, "circular")
 
 
-def test_graded_collapse_rejects_leftovers():
-    from gegenfun.genfun import _Graded, _graded_to_t_series
+@pytest.mark.parametrize(
+    "x,branch", [(1.05, "hyperbolic"), (12.0, "hyperbolic"), (-3.0, "hyperbolic"),
+                 (-0.95, "circular"), (0.0, "circular"), (0.99, "circular")]
+)
+@pytest.mark.parametrize("order", [0, 1, 2, 16])
+def test_tetrahedral_example_reports_its_order(x, branch, order):
+    lhs, rhs = gf.tetrahedral_example(x, order, branch)
+    assert rhs.order == order
+    assert mixed_deviation(lhs, rhs, order) <= 1e-13
 
-    bad = _Graded(-3, TruncatedSeries([1.0] + [0.0] * 11))
+
+def test_graded_collapse_rejects_leftovers():
+    frac = TruncatedSeries([1.0, 0.5] + [0.0] * 10)
     with pytest.raises(UncancelledPole):
-        _graded_to_t_series(bad, 1)
-    frac = _Graded(0, TruncatedSeries([1.0, 0.5] + [0.0] * 10))
-    with pytest.raises(UncancelledPole):
-        _graded_to_t_series(frac, 1)
+        gf._collapse_to_t(frac)
+    kept = gf._collapse_to_t(TruncatedSeries([1.0, 1e-12, 0.0, 2.0, 0.0, 0.0, 3.0]))
+    assert kept.coeffs.tolist() == [1.0, 2.0, 3.0]
 
 
 # -- substitution table ----------------------------------------------------------------

@@ -10,6 +10,7 @@ from gegenfun.errors import ArgumentOutOfDomain, InvalidMu, OrderIsPositiveInteg
 from gegenfun.legendre import (
     Branch,
     CaseTag,
+    _conjugate_brackets,
     classify,
     cyclic_case,
     cyclic_case_z,
@@ -221,6 +222,44 @@ def test_tetrahedral_radicals():
     xi = 1.0
     prod = tetrahedral_f(+1, xi) ** 4 * tetrahedral_f(-1, xi) ** 4
     assert abs(prod - math.sinh(xi) ** 2 * math.sinh(xi / 3.0) ** 2 / 3.0) <= 1e-13
+
+
+# Reference brackets, one function per (f, g) pair of _conjugate_brackets.
+
+
+def _ref_cosh(xi):
+    s = math.sqrt(math.sinh(xi) / (3.0 * math.sinh(xi / 3.0)))
+    plus = math.cosh(xi / 3.0) + s
+    return plus, (math.sinh(xi / 3.0) ** 2 / 3.0) / plus
+
+
+def _ref_cos(theta):
+    s = math.sqrt(math.sin(theta) / (3.0 * math.sin(theta / 3.0)))
+    big = math.cos(theta / 3.0) + s
+    return big, (math.sin(theta / 3.0) ** 2 / 3.0) / big
+
+
+def _ref_sinh(xi):
+    s = math.sqrt(math.cosh(xi) / (3.0 * math.cosh(xi / 3.0)))
+    stable = abs(math.sinh(xi / 3.0)) + s
+    other = (math.cosh(xi / 3.0) ** 2 / 3.0) / stable
+    return (stable, other) if xi >= 0.0 else (other, stable)
+
+
+def test_conjugate_brackets_match_references_bitwise():
+    rng = np.random.default_rng(1)
+    cases = [
+        (_ref_cosh, math.sinh, math.cosh, np.concatenate([rng.uniform(0.0, 700.0, 4000),
+                                                          10.0 ** rng.uniform(-300, 2.8, 4000)])),
+        (_ref_cos, math.sin, math.cos, rng.uniform(1e-300, math.pi, 8000)),
+        (_ref_sinh, math.cosh, math.sinh, np.concatenate([rng.uniform(-700.0, 700.0, 4000),
+                                                          rng.uniform(-1.0, 1.0, 4000),
+                                                          [0.0, -0.0, 5e-324, -5e-324]])),
+    ]
+    for ref, f, g, args in cases:
+        for arg in args.tolist():
+            got, want = _conjugate_brackets(f, g, arg), ref(arg)
+            assert [v.hex() for v in got] == [v.hex() for v in want], (ref.__name__, arg)
 
 
 def test_tetrahedral_p_vs_oracle():
