@@ -10,7 +10,7 @@ class DivisionByZeroSeries(GegenfunError):
 
 
 class ZeroConstantTerm(GegenfunError):
-    """Fractional power of a series whose constant term is (numerically) zero."""
+    """Fractional power of a series whose constant term is zero."""
 
 
 class NonvanishingInner(GegenfunError):

@@ -25,16 +25,6 @@ from .errors import (
 
 Scalar = Union[int, float, complex]
 
-# Coefficients smaller than ZERO_TOL * max(1, local coefficient scale) are
-# treated as exact zeros when locating the leading term: cancellations like
-# sinh(xi)/sinh(xi/3) leave roundoff residue where exact arithmetic has zeros.
-# The scale is the max coefficient magnitude over a short forward window
-# (not the whole series): series like (1-2xt+t**2)**(-1/2) at x = 5 grow
-# geometrically to ~1e23 by order 24, and a global-max threshold would
-# swallow their genuinely nonzero O(1) leading coefficients.
-ZERO_TOL = 1e-12
-_SCALE_WINDOW = 6
-
 # Coefficients are held in the widest hardware complex type.  On x86 this is
 # 80-bit extended (eps ~ 1e-19), which buys three digits of headroom against
 # the cancellation inherent in composing hypergeometric series with
@@ -105,17 +95,10 @@ class TruncatedSeries:
     def coefficient(self, n: int) -> complex:
         return complex(self.coeffs[n])
 
-    def zero_threshold(self) -> float:
-        scale = float(np.max(np.abs(self.coeffs[: _SCALE_WINDOW + 1])))
-        return ZERO_TOL * max(1.0, scale)
-
     def valuation(self) -> int | None:
-        """Index of the first coefficient above the zero threshold; None if all vanish."""
-        ab = np.abs(self.coeffs)
-        for i in range(ab.size):
-            if ab[i] > ZERO_TOL * max(1.0, float(np.max(ab[: i + _SCALE_WINDOW + 1]))):
-                return i
-        return None
+        """Index of the first nonzero coefficient; None for the zero series."""
+        nonzero = np.flatnonzero(self.coeffs)
+        return int(nonzero[0]) if nonzero.size else None
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if order > self.order:
@@ -177,7 +160,7 @@ class TruncatedSeries:
 
 
 def _shift_down(a: TruncatedSeries, k: int) -> TruncatedSeries:
-    """Divide by t**k, discarding the k leading (numerically zero) coefficients."""
+    """Divide by t**k, discarding the k leading coefficients, which must be zero."""
     if k == 0:
         return a
     if a.order < k:
@@ -297,8 +280,8 @@ def pow_alpha(a: TruncatedSeries, alpha: Scalar) -> TruncatedSeries:
     construction raises ValueError.
     """
     a0 = a.coeffs[0]
-    if abs(a0) <= a.zero_threshold():
-        raise ZeroConstantTerm("series has (numerically) zero constant term")
+    if a0 == 0:
+        raise ZeroConstantTerm("series has zero constant term")
     n = a.order
     out = np.zeros(n + 1, dtype=DTYPE)
     out[0] = a0 ** alpha
@@ -345,9 +328,8 @@ def compose_vanishing(
     The accumulator of step k is later multiplied by z**k, so only its first
     N - k v + 1 coefficients can reach the order-N result: only those are
     kept, and the steps with k > N // v, which reach none, are skipped.
-    Cost: sum_k (N - k v + 1)**2 products, about N**3 / (3 v) for v >= 1
-    against N**3 for plain Horner.  A constant term that is a roundoff residue
-    below the zero threshold gives v = 0 and the full width at every step.
+    Cost: sum_k (N - k v + 1)**2 products, about N**3 / (3 v) against N**3
+    for plain Horner.  z(0) must be exactly zero, so v >= 1.
 
     Every coefficient is bitwise identical to plain full-width Horner: a
     dropped product term is a finite coefficient times an exact zero of z,
@@ -374,8 +356,7 @@ def compose_vanishing(
     outer[k], whose imaginary part is a zero, keeps it +0: the imaginary part
     of the real lane's result.
     """
-    thr = inner.zero_threshold()
-    if abs(inner.coeffs[0]) > thr:
+    if inner.coeffs[0] != 0:
         raise NonvanishingInner("inner series has nonzero constant term")
     outer = np.asarray(outer_coeffs, dtype=DTYPE)
     z = inner.coeffs
@@ -384,9 +365,9 @@ def compose_vanishing(
     if n == 0:
         # No Horner step follows, so the zero signs of outer[0] survive.
         return TruncatedSeries.from_constant(outer[0], order)
-    nonzero = np.flatnonzero(z)
-    v = int(nonzero[0]) if nonzero.size else order + 1
-    k0 = n if v == 0 else min(n, order // v)
+    # None for the zero series, which reaches no Horner step.
+    v = inner.valuation() or order + 1
+    k0 = min(n, order // v)
     top = np.flatnonzero(outer[: k0 + 1])
     k0 = int(top[-1]) if top.size else 0
     outer = outer[: k0 + 1]

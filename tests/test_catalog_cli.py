@@ -96,6 +96,20 @@ def test_cli_verify_failure_exit_code(capsys):
     assert record["overall_pass"] is False
 
 
+@pytest.mark.parametrize(
+    "identity,x",
+    [("alt.1", "1000"), ("alt.2", "1000"), ("octa.c14", "1000"), ("gf1.a", "1000"),
+     ("gf2.rewrite.b", "1000"), ("tetra.c16.hyp", "1e6"), ("tetra.c16.hyp", "-1e6")],
+)
+def test_cli_verify_large_x(identity, x, capsys):
+    # the identities hold for every large |x|, where later series coefficients
+    # dwarf the leading ones by many decades: every sample is checked and passes
+    code = main(["verify", identity, "--x=" + x, "--order", "16"])
+    record = json.loads(capsys.readouterr().out.strip())
+    assert code == 0
+    assert all(s["pass"] for s in record["samples"]), record["samples"]
+
+
 def test_numerical_errors_surface_as_failed_samples(capsys):
     # x = 0.5 is outside the hyperbolic-substitution domain: the sample must
     # fail with a reason string instead of raising, and the exit code is 1
@@ -314,6 +328,10 @@ VERIFY_ALL_SHA256 = {
     0: (
         "1edcdb6a930b1e74a7153883ba2cdd1a2761bbd8b6ad5b7e08eb68b9c6efff35",
         "0603683c71963f4bb045ad4e15c7e0562068cf2d74b30d249feb66cab971d0e6",
+    ),
+    1: (
+        "2c1315d66ced3d48cc4e8598b5536c60a79cd143fe184e7b23ee3fec72d403be",
+        "457e3324d460bd5ac16e1ff959398a7f8a950a05805b3cf304020c6a51acf110",
     ),
     2: (
         "38975ecca7e5025553499b51c6f8695cff47f6d8c14ef35d2b23b66fe1526857",

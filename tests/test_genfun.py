@@ -131,9 +131,11 @@ def test_tetrahedral_example():
 
 @pytest.mark.parametrize(
     "x,branch", [(1.05, "hyperbolic"), (12.0, "hyperbolic"), (-3.0, "hyperbolic"),
-                 (-0.95, "circular"), (0.0, "circular"), (0.99, "circular")]
+                 (-0.95, "circular"), (0.0, "circular"), (0.99, "circular"),
+                 # the coefficients of (1 - R - xt) / s^6 grow about |x|-fold per power of t
+                 (1e6, "hyperbolic"), (-1e6, "hyperbolic"), (1e8, "hyperbolic")]
 )
-@pytest.mark.parametrize("order", [0, 1, 2, 16])
+@pytest.mark.parametrize("order", [0, 1, 2, 16, 32])
 def test_tetrahedral_example_reports_its_order(x, branch, order):
     lhs, rhs = gf.tetrahedral_example(x, order, branch)
     assert rhs.order == order

@@ -108,6 +108,11 @@ def test_pow_rational_examples():
     assert_coeffs(pow_alpha(TruncatedSeries([1, 0]), -1.0), [1, 0])
     with pytest.raises(ZeroConstantTerm):
         pow_alpha(TruncatedSeries([0, 1]), 1 / 2)
+    # only an exactly zero constant term is rejected, however small a0 is:
+    # sqrt(1e-20 + t) = 1e-10 + t / 2e-10 - ...
+    tiny = pow_alpha(TruncatedSeries.from_polynomial([1e-20, 1], 4), 1 / 2)
+    assert tiny.coefficient(0) == pytest.approx(1e-10)
+    assert tiny.coefficient(1) == pytest.approx(5e9)
 
 
 def _binomial_series_oracle(poly_tail, alpha, order):
@@ -277,7 +282,7 @@ def _inner(rng, order, kind):
     if kind == "zero":
         z[:] = 0.0
     elif kind == "residue":
-        z[0] = 1e-17 - 2e-18j  # below the zero threshold, but not exactly zero
+        z[0] = 1e-17 - 2e-18j  # tiny, but not exactly zero
     else:
         z[:kind] = 0.0
     return TruncatedSeries(z)
@@ -292,7 +297,11 @@ def test_compose_vanishing_bitwise_matches_horner(order):
             outer = _random_coeffs(rng, outer_len, 1.0) * 0.9 ** np.arange(outer_len)
             outer[0] = complex(-0.0, -0.0)  # its sign survives only without a product
             for o in (outer, outer.real.copy()):
-                assert_bitwise(compose_vanishing(o, inner), _ref_compose_vanishing(o, inner))
+                if kind == "residue":
+                    with pytest.raises(NonvanishingInner):
+                        compose_vanishing(o, inner)
+                else:
+                    assert_bitwise(compose_vanishing(o, inner), _ref_compose_vanishing(o, inner))
 
 
 def _with_negative_zero_imag(c):
@@ -309,12 +318,16 @@ def test_compose_vanishing_real_lane_bitwise_matches_horner(order):
         z[:v] = -0.0
         z[v + 1 :: 3] = -0.0
         if v == 0:
-            z[0] = -1e-17  # a roundoff residue: v = 0, the full width
+            z[0] = -1e-17  # tiny, but not exactly zero
         outer = rng.standard_normal(order + 9) * 0.9 ** np.arange(order + 9)
         outer[::4] = -0.0
         for inner in (TruncatedSeries(z), TruncatedSeries(_with_negative_zero_imag(z))):
             for o in (outer, _with_negative_zero_imag(outer), outer + 0.5j):
-                assert_bitwise(compose_vanishing(o, inner), _ref_compose_vanishing(o, inner))
+                if v == 0:
+                    with pytest.raises(NonvanishingInner):
+                        compose_vanishing(o, inner)
+                else:
+                    assert_bitwise(compose_vanishing(o, inner), _ref_compose_vanishing(o, inner))
 
 
 @pytest.mark.parametrize("order", ORDERS[:-1])  # the cubic reference is slow at 205
