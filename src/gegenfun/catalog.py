@@ -143,45 +143,33 @@ def _legendre_relation_gap(m, order) -> float:
     return abs(e(m) * k(1 - m) + e(1 - m) * k(m) - k(m) * k(1 - m) - math.pi / 2.0)
 
 
-def _closed_form_deviation(form, oracle, lo, hi) -> float:
+def _closed_form_deviation(nu, mu, branch, on_z, lo, hi) -> float:
     def rel(a, b):
         return abs(a - b) / max(abs(b), 1e-300)
 
-    return max(rel(form(v), legendre.legendre_p_hypergeometric(*oracle(v))) for v in np.linspace(lo, hi, 10))
+    form, z_at = legendre.closed_form(nu, mu, branch, on_z)
+    oracle = legendre.legendre_p_hypergeometric
+    return max(rel(form(v), oracle(nu, mu, z_at(v), branch)) for v in np.linspace(lo, hi, 10))
 
 
 _L, _F = legendre.Branch.LEGENDRE, legendre.Branch.FERRERS
 
-# case -> (closed form at the grid value v, the oracle's (nu, mu, z, branch) at v, grid ends)
+# case -> (nu, mu, branch, whether the grid is in z rather than the angle, grid ends)
 _CLOSED_FORMS = {
-    "reducible-L": (lambda v: legendre.reducible_case(0.25, 2, v, _L),
-                    lambda v: (1.75, 0.25, v, _L), 1.2, 2.8),
-    "reducible-F": (lambda v: legendre.reducible_case(-0.5, 1, v, _F),
-                    lambda v: (1.5, -0.5, v, _F), -0.8, 0.8),
-    "cyclic-L": (lambda v: legendre.cyclic_case(1.0 / 3.0, v, _L),
-                 lambda v: (0.0, 1.0 / 3.0, 1.0 / math.tanh(v), _L), 0.3, 2.0),
-    "cyclic-F": (lambda v: legendre.cyclic_case(1.0 / 3.0, v, _F),
-                 lambda v: (0.0, 1.0 / 3.0, math.tanh(v), _F), -1.5, 1.5),
-    "dihedral-L": (lambda v: legendre.dihedral_case(1.0 / 6.0, v, _L),
-                   lambda v: (1.0 / 6.0, 0.5, math.cosh(v), _L), 0.2, 2.0),
-    "dihedral-F": (lambda v: legendre.dihedral_case(1.0 / 6.0, v, _F),
-                   lambda v: (1.0 / 6.0, 0.5, math.cos(v), _F), 0.3, 2.8),
-    "octahedral+-L": (lambda v: legendre.octahedral_p(1, v, _L),
-                      lambda v: (-1.0 / 6.0, 0.25, math.cosh(v), _L), 0.2, 2.0),
-    "octahedral+-F": (lambda v: legendre.octahedral_p(1, v, _F),
-                      lambda v: (-1.0 / 6.0, 0.25, math.cos(v), _F), 0.3, 2.8),
-    "octahedral--L": (lambda v: legendre.octahedral_p(-1, v, _L),
-                      lambda v: (-1.0 / 6.0, -0.25, math.cosh(v), _L), 0.2, 2.0),
-    "octahedral--F": (lambda v: legendre.octahedral_p(-1, v, _F),
-                      lambda v: (-1.0 / 6.0, -0.25, math.cos(v), _F), 0.3, 2.8),
-    "tetrahedral+-L": (lambda v: legendre.tetrahedral_p(1, v, _L),
-                       lambda v: (-0.25, 1.0 / 3.0, 1.0 / math.tanh(v), _L), 0.3, 2.0),
-    "tetrahedral+-F": (lambda v: legendre.tetrahedral_p(1, v, _F),
-                       lambda v: (-0.25, 1.0 / 3.0, math.tanh(v), _F), -1.5, 1.5),
-    "tetrahedral--L": (lambda v: legendre.tetrahedral_p(-1, v, _L),
-                       lambda v: (-0.25, -1.0 / 3.0, 1.0 / math.tanh(v), _L), 0.3, 2.0),
-    "tetrahedral--F": (lambda v: legendre.tetrahedral_p(-1, v, _F),
-                       lambda v: (-0.25, -1.0 / 3.0, math.tanh(v), _F), -1.5, 1.5),
+    "reducible-L": (1.75, 0.25, _L, True, 1.2, 2.8),
+    "reducible-F": (1.5, -0.5, _F, True, -0.8, 0.8),
+    "cyclic-L": (0.0, 1.0 / 3.0, _L, False, 0.3, 2.0),
+    "cyclic-F": (0.0, 1.0 / 3.0, _F, False, -1.5, 1.5),
+    "dihedral-L": (1.0 / 6.0, 0.5, _L, False, 0.2, 2.0),
+    "dihedral-F": (1.0 / 6.0, 0.5, _F, False, 0.3, 2.8),
+    "octahedral+-L": (-1.0 / 6.0, 0.25, _L, False, 0.2, 2.0),
+    "octahedral+-F": (-1.0 / 6.0, 0.25, _F, False, 0.3, 2.8),
+    "octahedral--L": (-1.0 / 6.0, -0.25, _L, False, 0.2, 2.0),
+    "octahedral--F": (-1.0 / 6.0, -0.25, _F, False, 0.3, 2.8),
+    "tetrahedral+-L": (-0.25, 1.0 / 3.0, _L, False, 0.3, 2.0),
+    "tetrahedral+-F": (-0.25, 1.0 / 3.0, _F, False, -1.5, 1.5),
+    "tetrahedral--L": (-0.25, -1.0 / 3.0, _L, False, 0.3, 2.0),
+    "tetrahedral--F": (-0.25, -1.0 / 3.0, _F, False, -1.5, 1.5),
 }
 
 # lam, theta, phi, t and the kernel's argument z~ at the point, rounded for the report

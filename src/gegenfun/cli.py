@@ -21,8 +21,7 @@ from . import catalog, legendre, poisson
 from .errors import GegenfunError, InvalidMu
 from .gegenbauer import gegenbauer_recurrence
 from .genfun import algebraicity
-from .hypergeometric import INT_TOL
-from .legendre import Branch, CaseTag
+from .legendre import Branch
 
 
 def _parse_complex(text: str) -> complex:
@@ -153,21 +152,14 @@ def _require(args, names: list[str]) -> list[float]:
     return vals
 
 
-def _base_degree(nu: float, targets: tuple[float, ...]) -> bool:
-    # closed forms cover the base pairs only (shifted pairs need ladder
-    # operators, which are not implemented); the reflection nu -> -nu-1 is free
-    return any(abs(nu - t) <= INT_TOL or abs(-nu - 1.0 - t) <= INT_TOL for t in targets)
-
-
 def _eval_legendre(args) -> float:
     nu, mu = _require(args, ["nu", "mu"])
-    cls = legendre.classify(nu, mu)
     if args.z is not None:
         branch = Branch.LEGENDRE if args.z > 1.0 else Branch.FERRERS
-        if cls.primary is CaseTag.REDUCIBLE:
-            n = round(nu + mu) if round(nu + mu) >= 0 else round(mu - nu - 1.0)
+        served = legendre.closed_form(nu, mu, branch, on_z=True)
+        if served is not None:
             try:
-                return legendre.reducible_case(mu, n, args.z, branch).real
+                return served[0](args.z)
             except InvalidMu:
                 pass  # the closed form excludes this mu; the oracle does not
         return legendre.legendre_p_hypergeometric(nu, mu, args.z, branch).real
@@ -177,19 +169,13 @@ def _eval_legendre(args) -> float:
         arg, branch = args.theta, Branch.FERRERS
     else:
         raise ValueError("provide --xi (hyperbolic), --theta (circular), or --z")
-    sign = 1 if mu > 0 else -1
-    if CaseTag.OCTAHEDRAL in cls.matches and _base_degree(nu, (-1.0 / 6.0,)):
-        return legendre.octahedral_p(sign, arg, branch)
-    if CaseTag.TETRAHEDRAL_A in cls.matches and _base_degree(nu, (-0.25,)):
-        return legendre.tetrahedral_p(sign, arg, branch)
-    if CaseTag.QUASI_CYCLIC in cls.matches and _base_degree(nu, (0.0,)):
-        return legendre.cyclic_case(mu, arg, branch)
-    if CaseTag.QUASI_DIHEDRAL in cls.matches and abs(mu - 0.5) <= INT_TOL:
-        return legendre.dihedral_case(nu, arg, branch)
-    raise ValueError(
-        f"no closed form implemented for ({nu}, {mu}) [{cls.primary.value}]; "
-        "use --z for the hypergeometric definition"
-    )
+    served = legendre.closed_form(nu, mu, branch)
+    if served is None:
+        raise ValueError(
+            f"no closed form implemented for ({nu}, {mu}) [{legendre.classify(nu, mu).primary.value}]; "
+            "use --z for the hypergeometric definition"
+        )
+    return served[0](arg)
 
 
 def _cmd_eval(args) -> int:

@@ -33,7 +33,6 @@ need special care:
 from __future__ import annotations
 
 import cmath
-import enum
 import math
 from dataclasses import dataclass
 
@@ -371,18 +370,9 @@ def tetrahedral_example(
 # -- substitution table -----------------------------------------------------------
 
 
-class ZForm(enum.Enum):
-    RATIO = "(1-xt)/R"
-    SQUARED = "2(R/(1-xt))^2-1"
-
-
 @dataclass(frozen=True)
 class SubstitutionRow:
-    row: int
-    z_form: ZForm
-    trig: str  # cosh | cos | coth | tanh
     exp_value: complex  # e^xi, e^(i theta), or the half-argument variants
-    z_value: complex
     reconstruction_dev: float
 
 
@@ -397,17 +387,18 @@ def _reconstruct_z(trig: str, half: bool, v: complex) -> complex:
     return (v - w) / (v + w)  # tanh
 
 
-# row -> (z form, trig, half argument, needs |x| > 1, the exponential at
-# (x, t, R, 1 - xt, sqrt|x**2 - 1|))
+# row -> (trig, half argument, needs |x| > 1, the exponential at
+# (x, t, R, 1 - xt, sqrt|x**2 - 1|)); rows 1-4 parametrize z = (1-xt)/R,
+# rows 5-8 z = 2(R/(1-xt))**2-1
 _SUBSTITUTIONS = {
-    1: (ZForm.RATIO, "cosh", False, True, lambda x, t, r, omxt, sq: (1.0 - (x - sq) * t) / r),
-    2: (ZForm.RATIO, "cos", False, False, lambda x, t, r, omxt, sq: (1.0 - (x - 1j * sq) * t) / r),
-    3: (ZForm.RATIO, "coth", False, True, lambda x, t, r, omxt, sq: t * sq / (1.0 - r - x * t)),
-    4: (ZForm.RATIO, "tanh", False, False, lambda x, t, r, omxt, sq: t * sq / (-1.0 + r + x * t)),
-    5: (ZForm.SQUARED, "cosh", True, False, lambda x, t, r, omxt, sq: omxt / (r - t * sq)),
-    6: (ZForm.SQUARED, "cos", True, True, lambda x, t, r, omxt, sq: omxt / (r - 1j * t * sq)),
-    7: (ZForm.SQUARED, "coth", False, False, lambda x, t, r, omxt, sq: r / (t * sq)),
-    8: (ZForm.SQUARED, "tanh", False, True, lambda x, t, r, omxt, sq: r / (t * sq)),
+    1: ("cosh", False, True, lambda x, t, r, omxt, sq: (1.0 - (x - sq) * t) / r),
+    2: ("cos", False, False, lambda x, t, r, omxt, sq: (1.0 - (x - 1j * sq) * t) / r),
+    3: ("coth", False, True, lambda x, t, r, omxt, sq: t * sq / (1.0 - r - x * t)),
+    4: ("tanh", False, False, lambda x, t, r, omxt, sq: t * sq / (-1.0 + r + x * t)),
+    5: ("cosh", True, False, lambda x, t, r, omxt, sq: omxt / (r - t * sq)),
+    6: ("cos", True, True, lambda x, t, r, omxt, sq: omxt / (r - 1j * t * sq)),
+    7: ("coth", False, False, lambda x, t, r, omxt, sq: r / (t * sq)),
+    8: ("tanh", False, True, lambda x, t, r, omxt, sq: r / (t * sq)),
 }
 
 
@@ -416,7 +407,7 @@ def substitution_table(x: float, t: float, row: int) -> SubstitutionRow:
     Legendre arguments; the returned value is checked to reconstruct z."""
     if row not in _SUBSTITUTIONS:
         raise ValueError("row must be 1..8")
-    form, trig, half, need_hyper, exp_value = _SUBSTITUTIONS[row]
+    trig, half, need_hyper, exp_value = _SUBSTITUTIONS[row]
     r2 = 1.0 - 2.0 * x * t + t * t
     if r2 <= 0.0:
         raise DomainMismatch("R**2 <= 0 at this (x, t)")
@@ -429,7 +420,7 @@ def substitution_table(x: float, t: float, row: int) -> SubstitutionRow:
     if row in (3, 4, 7, 8) and t == 0.0:
         raise DomainMismatch(f"row {row} needs t != 0")
     val = exp_value(x, t, r, omxt, math.sqrt(abs(x * x - 1.0)))
-    z = omxt / r if form is ZForm.RATIO else 2.0 * (r / omxt) ** 2 - 1.0
+    z = omxt / r if row <= 4 else 2.0 * (r / omxt) ** 2 - 1.0
     zr = _reconstruct_z(trig, half, val)
     rdev = abs(zr - z) / max(1.0, abs(z))
     if rdev > 1e-10:
@@ -437,7 +428,7 @@ def substitution_table(x: float, t: float, row: int) -> SubstitutionRow:
             f"row {row} reconstruction mismatch at (x, t) = ({x}, {t}): "
             f"{zr} vs {z}"
         )
-    return SubstitutionRow(row, form, trig, complex(val), complex(z), rdev)
+    return SubstitutionRow(complex(val), rdev)
 
 
 # -- extended (u-parameter) families ----------------------------------------------

@@ -15,15 +15,19 @@ The minus-branch radicands (e.g. -cosh(xi/3) + sqrt(sinh(xi)/(3 sinh(xi/3))))
 lose all digits to cancellation near the degenerate point, so they are
 evaluated through the conjugate product, which collapses to an exact square:
 
-    (s - cosh(xi/3))(s + cosh(xi/3)) = sinh(xi/3)**2 / 3     [h, f brackets]
-    (s - sinh(xi/3))(s + sinh(xi/3)) = cosh(xi/3)**2 / 3     [g bracket]
-    (cos(th/3) - s)(cos(th/3) + s)   = sin(th/3)**2 / 3      [k bracket]
+    (s - cosh(xi/3))(s + cosh(xi/3)) = sinh(xi/3)**2 / 3     [both, Legendre]
+    (s - sinh(xi/3))(s + sinh(xi/3)) = cosh(xi/3)**2 / 3     [tetrahedral, Ferrers]
+    (cos(th/3) - s)(cos(th/3) + s)   = sin(th/3)**2 / 3      [octahedral, Ferrers]
+
+`closed_form` decides which of these serves a pair (nu, mu) and how its
+argument maps to z; `eval legendre` and the catalog both go through it.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import ArgumentOutOfDomain, InvalidMu, OrderIsPositiveInteger
@@ -167,19 +171,6 @@ def cyclic_case(mu: float, xi: float, branch: Branch = Branch.LEGENDRE) -> float
     return math.exp(mu * xi) / gamma_fn(1.0 - mu)
 
 
-def cyclic_case_z(mu: float, z: float, branch: Branch = Branch.LEGENDRE) -> float:
-    """Same value written in the argument z directly."""
-    if branch is Branch.LEGENDRE:
-        if z <= 1.0:
-            raise ArgumentOutOfDomain("Legendre branch needs z > 1")
-        ratio = (z + 1.0) / (z - 1.0)
-    else:
-        if not -1.0 < z < 1.0:
-            raise ArgumentOutOfDomain("Ferrers branch needs -1 < z < 1")
-        ratio = (1.0 + z) / (1.0 - z)
-    return ratio ** (mu / 2.0) / gamma_fn(1.0 - mu)
-
-
 def dihedral_case(nu: float, arg: float, branch: Branch = Branch.LEGENDRE) -> float:
     """Order 1/2: cosh((nu+1/2) xi)/sqrt(sinh xi), circular analogue on Ferrers."""
     c = math.sqrt(2.0 / math.pi)
@@ -207,46 +198,26 @@ def _conjugate_brackets(f, g, arg: float) -> tuple[float, float]:
     return (other, stable) if g(arg / 3.0) < 0.0 else (stable, other)
 
 
-def octahedral_h(sign: int, xi: float) -> float:
-    """Quartic radical {(sinh xi)^(-1) [±cosh(xi/3) + s]}^(1/4) for xi > 0."""
-    if xi <= 0.0:
-        raise ArgumentOutOfDomain("octahedral h needs xi > 0")
-    plus, minus = _conjugate_brackets(math.sinh, math.cosh, xi)
-    bracket = plus if sign > 0 else minus
-    return (bracket / math.sinh(xi)) ** 0.25
-
-
-def octahedral_k(sign: int, theta: float) -> float:
-    """Circular counterpart {(sin th)^(-1) [cos(th/3) ± s]}^(1/4) for th in (0, pi)."""
-    if not 0.0 < theta < math.pi:
-        raise ArgumentOutOfDomain("octahedral k needs theta in (0, pi)")
-    big, small = _conjugate_brackets(math.sin, math.cos, theta)
-    bracket = big if sign > 0 else small
-    return (bracket / math.sin(theta)) ** 0.25
+def _radicals(f, g, arg: float, invert: bool) -> tuple[float, float]:
+    """The quartic radicals of the two brackets of _conjugate_brackets, each
+    divided by f(arg) when `invert`, else multiplied by it."""
+    scale = f(arg)
+    return tuple((b / scale if invert else scale * b) ** 0.25 for b in _conjugate_brackets(f, g, arg))
 
 
 def octahedral_p(sign_mu: int, arg: float, branch: Branch = Branch.LEGENDRE) -> float:
     """P(-1/6, ±1/4) at cosh xi (Legendre) or cos theta (Ferrers)."""
-    radical = octahedral_h(sign_mu, arg) if branch is Branch.LEGENDRE else octahedral_k(sign_mu, arg)
+    if branch is Branch.LEGENDRE:
+        if arg <= 0.0:
+            raise ArgumentOutOfDomain("octahedral Legendre branch needs xi > 0")
+        plus, minus = _radicals(math.sinh, math.cosh, arg, invert=True)
+    else:
+        if not 0.0 < arg < math.pi:
+            raise ArgumentOutOfDomain("octahedral Ferrers branch needs theta in (0, pi)")
+        plus, minus = _radicals(math.sin, math.cos, arg, invert=True)
     if sign_mu > 0:
-        return radical / gamma_fn(0.75)
-    return 3.0**0.75 / gamma_fn(1.25) * radical
-
-
-def tetrahedral_f(sign: int, xi: float) -> float:
-    """Quartic radical {(sinh xi) [±cosh(xi/3) + s]}^(1/4) for xi > 0."""
-    if xi <= 0.0:
-        raise ArgumentOutOfDomain("tetrahedral f needs xi > 0")
-    plus, minus = _conjugate_brackets(math.sinh, math.cosh, xi)
-    bracket = plus if sign > 0 else minus
-    return (math.sinh(xi) * bracket) ** 0.25
-
-
-def tetrahedral_g(sign: int, xi: float) -> float:
-    """Quartic radical {(cosh xi) [±sinh(xi/3) + s]}^(1/4) for real xi."""
-    plus, minus = _conjugate_brackets(math.cosh, math.sinh, xi)
-    bracket = plus if sign > 0 else minus
-    return (math.cosh(xi) * bracket) ** 0.25
+        return plus / gamma_fn(0.75)
+    return 3.0**0.75 / gamma_fn(1.25) * minus
 
 
 _SQRT3 = math.sqrt(3.0)
@@ -254,21 +225,61 @@ _SQRT3 = math.sqrt(3.0)
 
 def tetrahedral_p(sign_mu: int, arg: float, branch: Branch = Branch.LEGENDRE) -> float:
     """P(-1/4, ±1/3) at coth xi (Legendre) or tanh xi (Ferrers)."""
+    if branch is Branch.LEGENDRE:
+        if arg <= 0.0:
+            raise ArgumentOutOfDomain("tetrahedral Legendre branch needs xi > 0")
+        plus, minus = _radicals(math.sinh, math.cosh, arg, invert=False)
+    else:
+        plus, minus = _radicals(math.cosh, math.sinh, arg, invert=False)
     if sign_mu > 0:
         scale = 2.0**-0.25 * 3.0**-0.375 / gamma_fn(2.0 / 3.0)
-        ca, cb = math.sqrt(_SQRT3 + 1.0), math.sqrt(_SQRT3 - 1.0)
-        if branch is Branch.LEGENDRE:
-            combo = ca * tetrahedral_f(+1, arg) + cb * tetrahedral_f(-1, arg)
-        else:
-            combo = ca * tetrahedral_g(+1, arg) + cb * tetrahedral_g(-1, arg)
-        return scale * combo
+        return scale * (math.sqrt(_SQRT3 + 1.0) * plus + math.sqrt(_SQRT3 - 1.0) * minus)
     scale = 2.0**1.25 * 3.0**-0.375 / gamma_fn(4.0 / 3.0)
     ca, cb = math.sqrt(_SQRT3 - 1.0), math.sqrt(_SQRT3 + 1.0)
     if branch is Branch.LEGENDRE:
-        combo = ca * tetrahedral_f(+1, arg) - cb * tetrahedral_f(-1, arg)
-    else:
-        combo = -ca * tetrahedral_g(+1, arg) + cb * tetrahedral_g(-1, arg)
-    return scale * combo
+        return scale * (ca * plus - cb * minus)
+    return scale * (-ca * plus + cb * minus)
+
+
+def _coth(xi: float) -> float:
+    return 1.0 / math.tanh(xi)
+
+
+def closed_form(
+    nu: float, mu: float, branch: Branch, on_z: bool = False
+) -> tuple[Callable[[float], float], Callable[[float], float]] | None:
+    """The closed form serving (nu, mu) on `branch`, as (P at a, z at a), or None.
+
+    With `on_z` the argument a is z itself, and the reducible form serves
+    nu = -mu + N, with N = nu + mu if that is a whole number of at least 0,
+    else N = mu - nu - 1 (the reflection nu -> -nu-1); it raises InvalidMu
+    for the orders it excludes. Otherwise a is the angle xi or theta of the
+    first of these that serves the base pair, each degree up to nu -> -nu-1:
+    octahedral at (-1/6, ±1/4), z = cosh xi or cos theta; first tetrahedral
+    at (-1/4, ±1/3), z = coth xi or tanh xi; quasi-cyclic at degree 0 with
+    any mu, z = coth xi or tanh xi; quasi-dihedral at order 1/2 with any nu,
+    z = cosh xi or cos theta. Integer-shifted pairs are not served.
+    """
+    hyperbolic = branch is Branch.LEGENDRE
+    if on_z:
+        whole = [round(n) for n in (nu + mu, mu - nu - 1.0) if in_z_pm(n, 0.0) and round(n) >= 0]
+        if not whole:
+            return None
+        return lambda z: reducible_case(mu, whole[0], z, branch).real, lambda z: z
+
+    def degree(target: float) -> bool:
+        return abs(nu - target) <= INT_TOL or abs(-nu - 1.0 - target) <= INT_TOL
+
+    sign = 1 if mu > 0 else -1
+    if degree(-1.0 / 6.0) and abs(abs(mu) - 0.25) <= INT_TOL:
+        return lambda a: octahedral_p(sign, a, branch), math.cosh if hyperbolic else math.cos
+    if degree(-0.25) and abs(abs(mu) - 1.0 / 3.0) <= INT_TOL:
+        return lambda a: tetrahedral_p(sign, a, branch), _coth if hyperbolic else math.tanh
+    if degree(0.0):
+        return lambda a: cyclic_case(mu, a, branch), _coth if hyperbolic else math.tanh
+    if abs(mu - 0.5) <= INT_TOL:
+        return lambda a: dihedral_case(nu, a, branch), math.cosh if hyperbolic else math.cos
+    return None
 
 
 # -- the branch-free combination (z**2-1)^(mu/2) P(nu, mu; z) -----------------

@@ -149,9 +149,6 @@ class TruncatedSeries:
             return div(self, other)
         return TruncatedSeries(self.coeffs / other)
 
-    def __rtruediv__(self, other: Scalar) -> "TruncatedSeries":
-        return div(TruncatedSeries.from_constant(other, self.order), self)
-
     def __repr__(self) -> str:
         return f"TruncatedSeries({self.coeffs.tolist()!r})"
 

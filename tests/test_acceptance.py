@@ -162,8 +162,8 @@ def test_criterion_8_u_reductions():
 
 def test_criterion_9_closed_forms_vs_oracle():
     worst = 0.0
-    for form, oracle, lo, hi in catalog._CLOSED_FORMS.values():
-        worst = max(worst, float(catalog._closed_form_deviation(form, oracle, lo, hi)))
+    for row in catalog._CLOSED_FORMS.values():
+        worst = max(worst, float(catalog._closed_form_deviation(*row)))
     # degree reflection on the oracle
     sym = 0.0
     for nu, mu, z, branch in [
@@ -179,7 +179,7 @@ def test_criterion_9_closed_forms_vs_oracle():
     # small-argument normalization: |ratio - 1| decreases along z -> 1+
     for evaluate, mu in (
         (lambda z: lg.reducible_case(0.25, 2, z, L).real, 0.25),
-        (lambda z: lg.cyclic_case_z(1.0 / 3.0, z, L), 1.0 / 3.0),
+        (lambda z: lg.cyclic_case(1.0 / 3.0, math.atanh(1.0 / z), L), 1.0 / 3.0),
         (lambda z: lg.dihedral_case(1.0 / 6.0, math.acosh(z), L), 0.5),
         (lambda z: lg.octahedral_p(+1, math.acosh(z), L), 0.25),
         (lambda z: lg.octahedral_p(-1, math.acosh(z), L), -0.25),

@@ -270,6 +270,30 @@ def test_cli_eval_legendre_reducible_excluded_mu(nu, mu, z, expected, capsys):
     assert abs(float(capsys.readouterr().out) - expected) <= 1e-13 * max(1.0, abs(expected))
 
 
+@pytest.mark.parametrize("flag", ["--xi=0.8", "--theta=1.0"])
+@pytest.mark.parametrize(
+    "nu,mu",
+    [(-1.0 / 6.0, 0.75), (-1.0 / 6.0, 1.25), (-1.0 / 6.0, -0.75),
+     (-0.25, 2.0 / 3.0), (-0.25, 4.0 / 3.0), (-0.25, -2.0 / 3.0)],
+)
+def test_cli_eval_legendre_shifted_pair_is_refused(nu, mu, flag, capsys):
+    # the octahedral and tetrahedral closed forms serve mu = +-1/4 and +-1/3
+    # only; an integer-shifted order must not get the base pair's value
+    assert main(["eval", "legendre", f"--nu={nu!r}", f"--mu={mu!r}", flag]) == 2
+    assert "no closed form implemented" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "nu,mu,z,expected",
+    [(0.2, 1.2, 1.5, -0.34520835905787598), (0.3, 1.3, 1.5, -0.49223845046340304),
+     (0.4, 2.4, 1.5, 2.2777627849121825), (0.2, 1.2, 0.4, -0.43818725292358421)],  # mpmath legenp
+)
+def test_cli_eval_legendre_reflected_reducible(nu, mu, z, expected, capsys):
+    # nu + mu is not a whole number, so the degree is N = mu - nu - 1
+    assert main(["eval", "legendre", "--nu", str(nu), "--mu", str(mu), "--z", str(z)]) == 0
+    assert abs(float(capsys.readouterr().out) - expected) <= 1e-13 * abs(expected)
+
+
 def test_cli_eval_kernel(capsys):
     from gegenfun.poisson import KernelArgs, poisson_kernel
 

@@ -11,19 +11,16 @@ from gegenfun.legendre import (
     Branch,
     CaseTag,
     _conjugate_brackets,
+    _radicals,
     classify,
+    closed_form,
     cyclic_case,
-    cyclic_case_z,
     dihedral_case,
     leading_asymptotic,
     legendre_analytic_series,
     legendre_p_hypergeometric,
-    octahedral_h,
-    octahedral_k,
     octahedral_p,
     reducible_case,
-    tetrahedral_f,
-    tetrahedral_g,
     tetrahedral_p,
 )
 from gegenfun.series import TruncatedSeries, mixed_deviation, pow_alpha
@@ -163,12 +160,14 @@ def test_cyclic_case_vs_oracle_and_zform():
             a = cyclic_case(mu, xi, L)
             b = legendre_p_hypergeometric(0.0, mu, 1.0 / math.tanh(xi), L)
             assert abs(a - b) <= 1e-9 * abs(b)
-            assert abs(cyclic_case_z(mu, 1.0 / math.tanh(xi), L) - a) <= 1e-12 * abs(a)
+            z = 1.0 / math.tanh(xi)
+            assert abs(((z + 1.0) / (z - 1.0)) ** (mu / 2.0) / math.gamma(1.0 - mu) - a) <= 1e-12 * abs(a)
         for xi in np.linspace(-1.5, 1.5, 10):
             a = cyclic_case(mu, xi, F)
             b = legendre_p_hypergeometric(0.0, mu, math.tanh(xi), F)
             assert abs(a - b) <= 1e-9 * abs(b)
-            assert abs(cyclic_case_z(mu, math.tanh(xi), F) - a) <= 1e-12 * abs(a)
+            z = math.tanh(xi)
+            assert abs(((1.0 + z) / (1.0 - z)) ** (mu / 2.0) / math.gamma(1.0 - mu) - a) <= 1e-12 * abs(a)
     assert cyclic_case(0.0, 0.7, L) == 1.0
 
 
@@ -191,15 +190,15 @@ def test_dihedral_case_vs_oracle():
 def test_octahedral_radicals():
     # xi -> 0+: bracket -> 2, so h+ ~ (sinh xi)^(-1/4) 2^(1/4)
     xi = 1e-4
-    ratio = octahedral_h(+1, xi) / (math.sinh(xi) ** -0.25 * 2.0**0.25)
+    ratio = _radicals(math.sinh, math.cosh, xi, invert=True)[0] / (math.sinh(xi) ** -0.25 * 2.0**0.25)
     assert abs(ratio - 1.0) <= 1e-4
     # h- obeys the xi**2 power law: h-^4 sinh(xi) / xi^2 is asymptotically constant
-    c3 = octahedral_h(-1, 1e-3) ** 4 * math.sinh(1e-3) / 1e-6
-    c4 = octahedral_h(-1, 1e-4) ** 4 * math.sinh(1e-4) / 1e-8
+    c3 = _radicals(math.sinh, math.cosh, 1e-3, invert=True)[1] ** 4 * math.sinh(1e-3) / 1e-6
+    c4 = _radicals(math.sinh, math.cosh, 1e-4, invert=True)[1] ** 4 * math.sinh(1e-4) / 1e-8
     assert abs(c3 / c4 - 1.0) <= 1e-2
     # k+ at theta = pi/2
     expected = (math.sqrt(3.0) / 2.0 + math.sqrt(2.0 / 3.0)) ** 0.25
-    assert abs(octahedral_k(+1, math.pi / 2) - expected) <= 1e-14
+    assert abs(_radicals(math.sin, math.cos, math.pi / 2, invert=True)[0] - expected) <= 1e-14
 
 
 def test_octahedral_p_vs_oracle():
@@ -216,12 +215,76 @@ def test_octahedral_p_vs_oracle():
 
 def test_tetrahedral_radicals():
     # g±(tanh 0) = 3^(-1/8)
-    assert abs(tetrahedral_g(-1, 0.0) - 3.0**-0.125) <= 1e-14
-    assert abs(tetrahedral_g(+1, 0.0) - 3.0**-0.125) <= 1e-14
+    for g in _radicals(math.cosh, math.sinh, 0.0, invert=False):
+        assert abs(g - 3.0**-0.125) <= 1e-14
     # f+^4 f-^4 = sinh(xi)^2 (product of brackets) = sinh(xi)^2 sinh(xi/3)^2 / 3
     xi = 1.0
-    prod = tetrahedral_f(+1, xi) ** 4 * tetrahedral_f(-1, xi) ** 4
+    f_plus, f_minus = _radicals(math.sinh, math.cosh, xi, invert=False)
+    prod = f_plus**4 * f_minus**4
     assert abs(prod - math.sinh(xi) ** 2 * math.sinh(xi / 3.0) ** 2 / 3.0) <= 1e-13
+
+
+# The four radicals and their compositions as they were written before the
+# radicals were folded into one helper; octahedral_p and tetrahedral_p must
+# match them bit for bit.
+
+
+def _ref_octahedral_h(sign, xi):
+    plus, minus = _conjugate_brackets(math.sinh, math.cosh, xi)
+    return ((plus if sign > 0 else minus) / math.sinh(xi)) ** 0.25
+
+
+def _ref_octahedral_k(sign, theta):
+    big, small = _conjugate_brackets(math.sin, math.cos, theta)
+    return ((big if sign > 0 else small) / math.sin(theta)) ** 0.25
+
+
+def _ref_tetrahedral_f(sign, xi):
+    plus, minus = _conjugate_brackets(math.sinh, math.cosh, xi)
+    return (math.sinh(xi) * (plus if sign > 0 else minus)) ** 0.25
+
+
+def _ref_tetrahedral_g(sign, xi):
+    plus, minus = _conjugate_brackets(math.cosh, math.sinh, xi)
+    return (math.cosh(xi) * (plus if sign > 0 else minus)) ** 0.25
+
+
+def _ref_octahedral_p(sign, arg, branch):
+    radical = _ref_octahedral_h(sign, arg) if branch is L else _ref_octahedral_k(sign, arg)
+    if sign > 0:
+        return radical / math.gamma(0.75)
+    return 3.0**0.75 / math.gamma(1.25) * radical
+
+
+def _ref_tetrahedral_p(sign, arg, branch):
+    r3 = math.sqrt(3.0)
+    rad = _ref_tetrahedral_f if branch is L else _ref_tetrahedral_g
+    if sign > 0:
+        scale = 2.0**-0.25 * 3.0**-0.375 / math.gamma(2.0 / 3.0)
+        return scale * (math.sqrt(r3 + 1.0) * rad(+1, arg) + math.sqrt(r3 - 1.0) * rad(-1, arg))
+    scale = 2.0**1.25 * 3.0**-0.375 / math.gamma(4.0 / 3.0)
+    ca, cb = math.sqrt(r3 - 1.0), math.sqrt(r3 + 1.0)
+    if branch is L:
+        return scale * (ca * rad(+1, arg) - cb * rad(-1, arg))
+    return scale * (-ca * rad(+1, arg) + cb * rad(-1, arg))
+
+
+def test_algebraic_closed_forms_match_references_bitwise():
+    rng = np.random.default_rng(2)
+    hyperbolic = np.concatenate([rng.uniform(0.0, 700.0, 1000), 10.0 ** rng.uniform(-300, 2.8, 1000)])
+    cases = [
+        (octahedral_p, _ref_octahedral_p, L, hyperbolic),
+        (octahedral_p, _ref_octahedral_p, F, rng.uniform(1e-300, math.pi, 2000)),
+        (tetrahedral_p, _ref_tetrahedral_p, L, hyperbolic),
+        (tetrahedral_p, _ref_tetrahedral_p, F, np.concatenate([rng.uniform(-700.0, 700.0, 1000),
+                                                               rng.uniform(-1.0, 1.0, 1000),
+                                                               [0.0, -0.0, 5e-324, -5e-324]])),
+    ]
+    for form, ref, branch, args in cases:
+        for arg in args.tolist():
+            for sign in (+1, -1):
+                got, want = form(sign, arg, branch), ref(sign, arg, branch)
+                assert got.hex() == want.hex(), (form.__name__, branch, sign, arg)
 
 
 # Reference brackets, one function per (f, g) pair of _conjugate_brackets.
@@ -286,12 +349,67 @@ def test_asymptotic_normalization():
         assert errs[2] <= 1e-4
 
     check(lambda z: reducible_case(0.25, 2, z, L).real, 0.25)
-    check(lambda z: cyclic_case_z(1.0 / 3.0, z, L), 1.0 / 3.0)
+    check(lambda z: cyclic_case(1.0 / 3.0, math.atanh(1.0 / z), L), 1.0 / 3.0)
     check(lambda z: dihedral_case(1.0 / 6.0, math.acosh(z), L), 0.5)
     check(lambda z: octahedral_p(+1, math.acosh(z), L), 0.25)
     check(lambda z: octahedral_p(-1, math.acosh(z), L), -0.25)
     check(lambda z: tetrahedral_p(+1, math.atanh(1.0 / z), L), 1.0 / 3.0)
     check(lambda z: tetrahedral_p(-1, math.atanh(1.0 / z), L), -1.0 / 3.0)
+
+
+# -- the dispatcher -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "nu,mu,branch,form,z_at",
+    [
+        (-1.0 / 6.0, 0.25, L, lambda a: octahedral_p(1, a, L), math.cosh),
+        (-5.0 / 6.0, -0.25, F, lambda a: octahedral_p(-1, a, F), math.cos),
+        (-0.25, -1.0 / 3.0, L, lambda a: tetrahedral_p(-1, a, L), lambda a: 1.0 / math.tanh(a)),
+        (-0.75, 1.0 / 3.0, F, lambda a: tetrahedral_p(1, a, F), math.tanh),
+        (-1.0, 0.3, L, lambda a: cyclic_case(0.3, a, L), lambda a: 1.0 / math.tanh(a)),
+        (0.0, 1.0 / 3.0, F, lambda a: cyclic_case(1.0 / 3.0, a, F), math.tanh),
+        # the quasi-dihedral form serves mu = 1/2 at any degree
+        (2.5, 0.5, L, lambda a: dihedral_case(2.5, a, L), math.cosh),
+        (-1.0 / 6.0 + 1.0, 0.5, F, lambda a: dihedral_case(5.0 / 6.0, a, F), math.cos),
+    ],
+)
+def test_closed_form_dispatch(nu, mu, branch, form, z_at):
+    got, got_z = closed_form(nu, mu, branch)
+    for a in (0.4, 1.1):
+        assert got(a) == form(a)
+        assert got_z(a) == z_at(a)
+
+
+def test_closed_form_precedence():
+    # (0, 1/2) is quasi-cyclic and quasi-dihedral; the cyclic form comes first
+    assert closed_form(0.0, 0.5, L)[0](0.7) == cyclic_case(0.5, 0.7, L)
+
+
+@pytest.mark.parametrize(
+    "nu,mu",
+    [(-1.0 / 6.0, 0.75), (-1.0 / 6.0 + 1.0, 0.25), (-0.25, 4.0 / 3.0), (-0.25 - 2.0, 1.0 / 3.0),
+     (-1.0 / 6.0, 1.0 / 3.0), (1.0, 0.3), (1.75, 0.25), (0.2, 0.1)],
+)
+def test_closed_form_refuses_shifted_and_generic_pairs(nu, mu):
+    for branch in (L, F):
+        assert closed_form(nu, mu, branch) is None
+
+
+@pytest.mark.parametrize(
+    "nu,mu,big_n",
+    [(1.75, 0.25, 2), (1.5, -0.5, 1), (0.2, 1.2, 0), (0.4, 2.4, 1), (-2.75, 0.25, 2), (2.0, -1.0, 1)],
+)
+def test_closed_form_reducible_degree(nu, mu, big_n):
+    for z, branch in ((1.7, L), (0.4, F)):
+        form, z_at = closed_form(nu, mu, branch, on_z=True)
+        assert form(z) == reducible_case(mu, big_n, z, branch).real
+        assert z_at(z) == z
+
+
+def test_closed_form_on_z_refuses_irreducible_pairs():
+    for nu, mu in ((0.3, 0.2), (-1.0 / 6.0, 0.25), (0.2, 0.1)):
+        assert closed_form(nu, mu, L, on_z=True) is None
 
 
 # -- the analytic combination -------------------------------------------------------
