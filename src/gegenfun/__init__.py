@@ -11,12 +11,7 @@ from .hypergeometric import (
     pfq_terminating_all,
     pochhammer,
 )
-from .gegenbauer import (
-    gegenbauer_hypergeometric,
-    gegenbauer_of_series,
-    gegenbauer_recurrence,
-    ordinary_gf_series,
-)
+from .gegenbauer import gegenbauer_of_series, gegenbauer_recurrence
 from .legendre import Branch, CaseTag, Classification, classify, legendre_p_hypergeometric
 from .genfun import algebraicity
 from .poisson import elliptic_e, elliptic_k
@@ -33,10 +28,8 @@ __all__ = [
     "gauss_2f1_scalar",
     "pfq_terminating_all",
     "pochhammer",
-    "gegenbauer_hypergeometric",
     "gegenbauer_of_series",
     "gegenbauer_recurrence",
-    "ordinary_gf_series",
     "Branch",
     "CaseTag",
     "Classification",

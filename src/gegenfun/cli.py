@@ -12,6 +12,7 @@ override it.
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import math
 import os
@@ -120,6 +121,12 @@ def _cmd_verify(args) -> int:
     if fmt not in ("jsonl", "csv"):
         print(f"error: unknown format {fmt!r}", file=sys.stderr)
         return 2
+    overrides = {"x": args.x, "u": args.u}
+    for name, values in overrides.items():
+        bad = [v for v in values or () if not cmath.isfinite(v)]
+        if bad:
+            print(f"error: --{name} must be finite, got {bad[0]}", file=sys.stderr)
+            return 2
 
     wanted = list(args.ids)
     if wanted == ["all"]:
@@ -132,7 +139,6 @@ def _cmd_verify(args) -> int:
         # run in catalog order, deterministically
         ids = [i for i in catalog.identity_ids() if i in set(wanted)]
 
-    overrides = {"x": args.x, "u": args.u}
     reports = [catalog.run_identity(i, order, tol, overrides) for i in ids]
     if fmt == "jsonl":
         for r in reports:

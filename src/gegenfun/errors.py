@@ -5,6 +5,10 @@ class GegenfunError(Exception):
     """Base class for all library-specific errors."""
 
 
+class NonFiniteCoefficient(GegenfunError, ValueError):
+    """A series coefficient is inf or nan, as when a sample's arithmetic overflows."""
+
+
 class DivisionByZeroSeries(GegenfunError):
     """Series division where the divisor vanishes to higher order than the dividend."""
 

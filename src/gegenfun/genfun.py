@@ -286,7 +286,7 @@ def octahedral_example(
     lhs = lhs_ratio(0.25, *_first_weights(0.25, -1.0 / 12.0), x, order)
     wo = order + 1  # the one coefficient div(sinh_xi, sinh_xi3) shifts out
     r2 = _r2(x, wo)
-    sq = cmath.sqrt(complex(x) ** 2 - 1.0)
+    sq = cmath.sqrt(x * x - 1.0)  # inf, not OverflowError, where x * x overflows
     e = TruncatedSeries.from_polynomial([1.0, -(x - sq)], wo) * pow_alpha(r2, -0.5)
     e3 = pow_alpha(e, 1.0 / 3.0)
     e3_inv = pow_alpha(e3, -1.0)
@@ -421,7 +421,10 @@ def substitution_table(x: float, t: float, row: int) -> SubstitutionRow:
         raise DomainMismatch(f"row {row} needs t != 0")
     val = exp_value(x, t, r, omxt, math.sqrt(abs(x * x - 1.0)))
     z = omxt / r if row <= 4 else 2.0 * (r / omxt) ** 2 - 1.0
-    zr = _reconstruct_z(trig, half, val)
+    try:
+        zr = _reconstruct_z(trig, half, val)
+    except ZeroDivisionError as exc:  # v**2 underflows, or v - 1/v cancels, at extreme x
+        raise DomainMismatch(f"row {row} reconstruction divides by zero at (x, t) = ({x}, {t})") from exc
     rdev = abs(zr - z) / max(1.0, abs(z))
     if rdev > 1e-10:
         raise DomainMismatch(

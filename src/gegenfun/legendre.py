@@ -137,11 +137,6 @@ def legendre_p_hypergeometric(
     return complex(2.0**mu / gamma_fn(1.0 - mu) * prefactor * f)
 
 
-def leading_asymptotic(mu: float, z: float) -> float:
-    """The z -> 1+ normalization (2**(mu/2) / Gamma(1-mu)) (z-1)**(-mu/2)."""
-    return 2.0 ** (mu / 2.0) / gamma_fn(1.0 - mu) * (z - 1.0) ** (-mu / 2.0)
-
-
 # -- closed forms --------------------------------------------------------------
 
 

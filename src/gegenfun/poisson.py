@@ -21,7 +21,6 @@ from .gegenbauer import gegenbauer_recurrence
 from .hypergeometric import gamma_fn, gauss_2f1_scalar
 
 _AGM_TOL = 1e-16
-_TAIL_FLOOR = 1e-12  # roundoff floor of bilinear_tail_bound
 
 
 def _elliptic_k_e(m: float, name: str) -> tuple[float, float]:
@@ -147,16 +146,6 @@ def bilinear_partial_sum(
     for c in coeffs[::-1]:
         acc = acc * t + c
     return acc
-
-
-def bilinear_tail_bound(coeffs: np.ndarray, t: float) -> float:
-    """Geometric estimate of the dropped tail plus a roundoff floor."""
-    last, prev = abs(coeffs[-1] * t ** (coeffs.size - 1)), abs(
-        coeffs[-2] * t ** (coeffs.size - 2)
-    )
-    ratio = min(0.9, last / prev) if prev > 0 else abs(t)
-    tail = last * ratio / (1.0 - ratio) if last > 0 else 0.0
-    return 10.0 * tail + _TAIL_FLOOR
 
 
 def operator_relation_check(lam: float, theta: float, phi: float, order: int) -> float:

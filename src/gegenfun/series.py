@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     DivisionByZeroSeries,
+    NonFiniteCoefficient,
     NonvanishingInner,
     ZeroConstantTerm,
 )
@@ -57,7 +58,7 @@ class TruncatedSeries:
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coefficients must be a non-empty 1-d sequence")
         if not np.isfinite(c.view(_REAL_DTYPE)).all():
-            raise ValueError("non-finite coefficient")
+            raise NonFiniteCoefficient("non-finite coefficient")
         self.coeffs = c
 
     @property
@@ -73,15 +74,6 @@ class TruncatedSeries:
         return cls(a)
 
     @classmethod
-    def variable(cls, order: int) -> "TruncatedSeries":
-        """The series t itself (requires order >= 1)."""
-        if order < 1:
-            raise ValueError("variable needs order >= 1")
-        a = np.zeros(order + 1, dtype=DTYPE)
-        a[1] = 1.0
-        return cls(a)
-
-    @classmethod
     def from_polynomial(cls, coeffs: Sequence[Scalar], order: int) -> "TruncatedSeries":
         """Polynomial coefficients padded with zeros (or truncated) to the given order."""
         a = np.zeros(order + 1, dtype=DTYPE)
@@ -92,28 +84,10 @@ class TruncatedSeries:
 
     # -- basic queries ------------------------------------------------------
 
-    def coefficient(self, n: int) -> complex:
-        return complex(self.coeffs[n])
-
     def valuation(self) -> int | None:
         """Index of the first nonzero coefficient; None for the zero series."""
         nonzero = np.flatnonzero(self.coeffs)
         return int(nonzero[0]) if nonzero.size else None
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(self.coeffs[: order + 1])
-
-    def eval_at(self, t: Scalar) -> complex:
-        """Horner partial sum of the jet at a concrete t."""
-        acc = 0.0 + 0.0j
-        for c in self.coeffs[::-1]:
-            acc = acc * t + c
-        return complex(acc)
-
-    def max_abs_imag(self) -> float:
-        return float(np.max(np.abs(self.coeffs.imag)))
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -120,6 +120,25 @@ def test_numerical_errors_surface_as_failed_samples(capsys):
     assert any("DomainMismatch" in s.get("note", "") for s in record["samples"])
 
 
+@pytest.mark.parametrize(
+    "identity, override",
+    [("gf1.b", "--x=1e300"), ("gf1x.a", "--u=1e300"), ("octa.c14", "--x=1e300"), ("subst.table", "--x=-1e300")],
+)
+def test_overflowing_sample_fails_and_the_run_goes_on(identity, override, capsys):
+    # a finite override whose arithmetic overflows fails its samples with a
+    # note; the run reports every later id and exits 1
+    code = main(["verify", identity, "elliptic.legendre", override])
+    captured = capsys.readouterr()
+    records = [json.loads(line) for line in captured.out.splitlines()]
+    assert code == 1
+    assert captured.err == ""
+    assert [r["identity"] for r in records] == [identity, "elliptic.legendre"]
+    noted = [s for s in records[0]["samples"] if s.get("note")]
+    assert noted
+    assert all(s["pass"] is False and s["max_mixed_deviation"] == math.inf for s in noted)
+    assert records[1]["overall_pass"] is True
+
+
 def test_cli_verify_csv_and_overrides(capsys):
     code = main(["verify", "gf1.a", "--format", "csv", "--x", "1.5", "--order", "10"])
     out = capsys.readouterr().out
@@ -208,6 +227,9 @@ def test_cli_config_unknown_key_is_a_usage_error(tmp_path, capsys):
         (["verify", "alt.1"], "order = abc\n"),
         (["verify", "alt.1"], "tol = x\n"),
         (["verify", "alt.1"], "order = -3\n"),
+        (["verify", "gf1.a", "--x", "nan"], None),
+        (["verify", "gf1.a", "--x", "inf"], None),
+        (["verify", "gf1x.a", "--u", "nan"], None),
     ],
 )
 def test_cli_malformed_order_or_tol_is_a_usage_error(tmp_path, capsys, argv, config):

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from _bitwise import assert_bitwise
 
+from gegenfun import catalog
 from gegenfun import genfun as gf
 from gegenfun.errors import DomainMismatch, InvalidLambda, UncancelledPole
-from gegenfun.gegenbauer import ordinary_gf_series
+from gegenfun.gegenbauer import gegenbauer_recurrence
 from gegenfun.series import DTYPE, TruncatedSeries, mixed_deviation, pow_alpha
 
 
@@ -27,7 +28,7 @@ def test_first_gf_examples():
     assert_pair(gf.first_gf(0.25, -1.0 / 12.0, 2.0, 16, "a"))
     assert_pair(gf.first_gf(2.0, 1.1, 1.5, 16, "b"))
     lhs = gf.lhs_ratio(0.37, (0.9,), (2.0 * 0.37,), 0.7, 10)
-    assert abs(lhs.coefficient(0) - 1.0) <= 1e-15
+    assert abs(complex(lhs.coeffs[0]) - 1.0) <= 1e-15
 
 
 def test_first_gf_terminating_weights():
@@ -64,7 +65,7 @@ def test_miller_identities():
     assert_pair(gf.miller_identities(1.5, 3, 0.3, 12, "g2"))
     # N = 0 companion is the ordinary generating function
     lhs, rhs = gf.miller_identities(0.5, 0, 2.0, 12, "g2")
-    assert mixed_deviation(rhs, ordinary_gf_series(0.5, 2.0, 12)) <= 1e-12
+    assert mixed_deviation(rhs, TruncatedSeries(gegenbauer_recurrence(0.5, 12, 2.0))) <= 1e-12
     # N = 0 finite sum is constant 1
     lhs, rhs = gf.miller_identities(0.5, 0, 2.0, 12, "g1")
     assert mixed_deviation(rhs, TruncatedSeries.from_constant(1.0, 12)) <= 1e-14
@@ -75,7 +76,7 @@ def test_alt_gf():
     assert_pair(gf.alt_gf(7.0 / 6.0, 0.3, 16, 1))
     # lam = 1/2 with the R^(-1) prefactor reduces to the Legendre ordinary GF
     lhs, rhs = gf.alt_gf(0.5, 1.5, 16, 1)
-    assert mixed_deviation(rhs, ordinary_gf_series(0.5, 1.5, 16)) <= 1e-12
+    assert mixed_deviation(rhs, TruncatedSeries(gegenbauer_recurrence(0.5, 16, 1.5))) <= 1e-12
 
 
 # every two-form builder: (call with the form, the form's name, an unknown form)
@@ -107,8 +108,8 @@ def test_two_form_builders_reject_unknown_form(name):
 def test_octahedral_example():
     for x in (1.3, 1.5, 2.0, 5.0):
         lhs, rhs = gf.octahedral_example(x, 20)
-        assert abs(lhs.coefficient(0) - 1.0) <= 1e-12
-        assert abs(rhs.coefficient(0) - 1.0) <= 1e-12
+        assert abs(complex(lhs.coeffs[0]) - 1.0) <= 1e-12
+        assert abs(complex(rhs.coeffs[0]) - 1.0) <= 1e-12
         assert mixed_deviation(lhs, rhs) <= 1e-8
     with pytest.raises(DomainMismatch):
         gf.octahedral_example(0.5, 12)
@@ -121,8 +122,8 @@ def test_tetrahedral_example():
     for x in (0.3, 0.6):
         lhs, rhs = gf.tetrahedral_example(x, 16, "circular")
         assert mixed_deviation(lhs, rhs) <= 1e-8
-        assert rhs.max_abs_imag() <= 1e-9
-    assert abs(gf.tetrahedral_example(2.0, 12, "hyperbolic")[1].coefficient(0) - 1.0) <= 1e-12
+        assert np.abs(rhs.coeffs.imag).max() <= 1e-9
+    assert abs(complex(gf.tetrahedral_example(2.0, 12, "hyperbolic")[1].coeffs[0]) - 1.0) <= 1e-12
     with pytest.raises(DomainMismatch):
         gf.tetrahedral_example(0.5, 12, "hyperbolic")
     with pytest.raises(DomainMismatch):
@@ -198,8 +199,8 @@ def test_extended_first_u_degenerations():
     assert mixed_deviation(rhs1, rhs_base) <= 1e-9
     # u = 0: unit weights, RHS collapses to R^(-2 lam)
     lhs0, rhs0 = gf.extended_first_gf(lam, g, 0.0, x, order, "a")
-    assert mixed_deviation(lhs0, ordinary_gf_series(lam, x, order)) <= 1e-12
-    assert mixed_deviation(rhs0, ordinary_gf_series(lam, x, order)) <= 1e-12
+    assert mixed_deviation(lhs0, TruncatedSeries(gegenbauer_recurrence(lam, order, x))) <= 1e-12
+    assert mixed_deviation(rhs0, TruncatedSeries(gegenbauer_recurrence(lam, order, x))) <= 1e-12
 
 
 def test_extended_rewrite():
@@ -230,7 +231,7 @@ def test_lemma_key_check():
     assert_pair(gf.lemma_key_check(0.25, (0.3, 0.2), (0.5, 0.75), 0.6, 1.5, 10), 1e-8)
     # u = 0: both sides equal the ordinary generating function
     lhs, rhs = gf.lemma_key_check(0.25, (0.3,), (0.5,), 0.0, 1.5, 10)
-    ord_gf = ordinary_gf_series(0.25, 1.5, 10)
+    ord_gf = TruncatedSeries(gegenbauer_recurrence(0.25, 10, 1.5))
     assert mixed_deviation(lhs, ord_gf) <= 1e-12
     assert mixed_deviation(rhs, ord_gf) <= 1e-12
     with pytest.raises(ValueError):
@@ -251,7 +252,7 @@ def _ref_lemma_rhs(lam, numerators, denominators, u, x, order):
     r2 = TruncatedSeries.from_polynomial([1.0, -2.0 * x, 1.0], wo)
     rinv = pow_alpha(r2, -0.5)
     w = TruncatedSeries.from_polynomial([x, -1.0], wo) * rinv
-    qfac = TruncatedSeries.variable(wo) * rinv * (-u)
+    qfac = TruncatedSeries.from_polynomial([0, 1], wo) * rinv * (-u)
     fam = [TruncatedSeries.from_constant(1.0, wo), 2.0 * lam * w]
     for n in range(2, order + 1):
         nxt = (2.0 * (n + lam - 1.0)) * (w * fam[n - 1]) - (n + 2.0 * lam - 2.0) * fam[n - 2]
@@ -267,7 +268,7 @@ def _ref_lemma_rhs(lam, numerators, denominators, u, x, order):
                 coeff /= DTYPE(d) + (n - 1)
             qn = qn * qfac
         acc = acc + coeff * (fam[n] * qn)
-    return (pow_alpha(r2, -lam) * acc).truncate(order)
+    return TruncatedSeries((pow_alpha(r2, -lam) * acc).coeffs[: order + 1])
 
 
 _LEMMA_CASES = (
@@ -314,7 +315,7 @@ def test_extended_second_gf():
     assert_pair(gf.extended_second_gf(0.25, 0.25 + 1.0 / 3.0, 0.4, 1.5, 12, "b"), 1e-8)
     # u = 0 degenerates to the ordinary generating function
     lhs, rhs = gf.extended_second_gf(0.25, 0.3, 0.0, 1.5, 12, "a")
-    ord_gf = ordinary_gf_series(0.25, 1.5, 12)
+    ord_gf = TruncatedSeries(gegenbauer_recurrence(0.25, 12, 1.5))
     assert mixed_deviation(lhs, ord_gf) <= 1e-12
     assert mixed_deviation(rhs, ord_gf) <= 1e-12
 
@@ -363,3 +364,46 @@ def test_algebraicity_shift_invariance():
                 v = gf.algebraicity(lam + k, gamma + k + m)
                 assert v.algebraic == base.algebraic
                 assert v.clause == base.clause
+
+
+# -- a wrong relation fails ----------------------------------------------------------
+
+_GAUSS_IDS = ("gf1.a", "gf1.b", "gf1x.a", "gf1x.b", "gf2.a", "gf2.b", "gf2x.a", "gf2x.b")
+_REWRITE_IDS = (
+    "gf1.rewrite.a", "gf1.rewrite.b", "gf1x.rewrite.a", "gf1x.rewrite.b", "gf2.rewrite.a", "gf2.rewrite.b",
+)
+
+
+def _shift_result(fn, i):
+    return lambda *a: tuple(v + 1e-6 if k == i else v for k, v in enumerate(fn(*a)))
+
+
+def _shift_argument(fn, i):
+    return lambda *a: fn(*(v + 1e-6 if k == i else v for k, v in enumerate(a)))
+
+
+@pytest.mark.parametrize(
+    "name, shift, index, failing",
+    [
+        # the second family's weights read the "a" triple, so its rewrites fail too
+        ("_gauss_triple", _shift_result, 1, _GAUSS_IDS + ("gf2.rewrite.a", "gf2.rewrite.b")),
+        ("_gauss_triple", _shift_result, 2, _GAUSS_IDS + ("gf2.rewrite.a", "gf2.rewrite.b")),
+        ("_rewrite_params", _shift_result, 0, _REWRITE_IDS),
+        ("_rewrite_params", _shift_result, 1, _REWRITE_IDS),
+        ("_miller_gammas", _shift_result, 0, ("miller.g1", "miller.g2", "millerx.plus", "millerx.minus")),
+        ("_miller_gammas", _shift_result, 1, ("millerx.plus", "millerx.minus")),
+        # right-side ingredients only, so the shift cannot cancel between the sides
+        ("gauss_2f1_series", _shift_argument, 2, _GAUSS_IDS),
+        ("legendre_analytic_series", _shift_argument, 1, _REWRITE_IDS),
+    ],
+    ids=[
+        "gauss_triple-b", "gauss_triple-c", "rewrite_params-lam", "rewrite_params-gamma",
+        "miller_gammas-first", "miller_gammas-second", "gauss_2f1_series-c", "legendre_analytic_series-mu",
+    ],
+)
+def test_a_shifted_relation_fails_every_id_that_reads_it(monkeypatch, name, shift, index, failing):
+    # a 1e-6 error in one relation fails, at the default order and tol, every
+    # identity that reads it and no other; the thinnest margin is about 6 tol
+    monkeypatch.setattr(gf, name, shift(getattr(gf, name), index))
+    reports = [catalog.run_identity(i) for i in catalog.identity_ids()]
+    assert sorted(r.identity_id for r in reports if not r.overall_pass) == sorted(failing)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from _oracles import leading_asymptotic
+from numpy.polynomial.polynomial import polyval
 
 from gegenfun.errors import ArgumentOutOfDomain, InvalidMu, OrderIsPositiveInteger
 from gegenfun.legendre import (
@@ -16,7 +18,6 @@ from gegenfun.legendre import (
     closed_form,
     cyclic_case,
     dihedral_case,
-    leading_asymptotic,
     legendre_analytic_series,
     legendre_p_hypergeometric,
     octahedral_p,
@@ -419,7 +420,7 @@ def test_analytic_combination_constant_argument():
     nu, mu = 0.3, 0.25
     s = legendre_analytic_series(nu, mu, TruncatedSeries.from_constant(1.0, 6))
     expected = 2.0**mu / math.gamma(1.0 - mu)
-    assert abs(s.coefficient(0) - expected) <= 1e-14
+    assert abs(complex(s.coeffs[0]) - expected) <= 1e-14
     assert max(abs(complex(c)) for c in s.coeffs[1:]) <= 1e-18
 
 
@@ -428,18 +429,18 @@ def test_analytic_combination_scalar_oracle():
     # (1-z^2)^(1/8) P(0, 1/4; z) = (1-z^2)^(1/8) e^(xi/4)/Gamma(3/4), z = tanh(xi)
     x, order, t = 2.0, 16, 0.05
     r2 = TruncatedSeries.from_polynomial([1.0, -2.0 * x, 1.0], order)
-    z_series = pow_alpha(r2, 0.5) + TruncatedSeries.variable(order)
+    z_series = pow_alpha(r2, 0.5) + TruncatedSeries.from_polynomial([0, 1], order)
     s = legendre_analytic_series(0.0, 0.25, z_series)
     z_t = (1.0 - 2.0 * x * t + t * t) ** 0.5 + t
     xi = math.atanh(z_t)
     expected = (1.0 - z_t * z_t) ** 0.125 * math.exp(0.25 * xi) / math.gamma(0.75)
-    assert abs(s.eval_at(t) - expected) <= 1e-12
+    assert abs(polyval(t, s.coeffs) - expected) <= 1e-12
 
 
 def test_analytic_combination_degree_symmetry():
     x, order = 1.5, 12
     r2 = TruncatedSeries.from_polynomial([1.0, -2.0 * x, 1.0], order)
-    z_series = pow_alpha(r2, 0.5) - TruncatedSeries.variable(order)
+    z_series = pow_alpha(r2, 0.5) - TruncatedSeries.from_polynomial([0, 1], order)
     a = legendre_analytic_series(0.3, 0.2, z_series)
     b = legendre_analytic_series(-1.3, 0.2, z_series)
     assert mixed_deviation(a, b) <= 1e-15

@@ -4,6 +4,7 @@ identity."""
 import math
 
 import pytest
+from _oracles import bilinear_tail_bound
 
 from gegenfun.errors import DomainMismatch, OutOfRange
 from gegenfun.hypergeometric import gauss_2f1_scalar
@@ -11,7 +12,6 @@ from gegenfun.poisson import (
     KernelArgs,
     bilinear_coeffs,
     bilinear_partial_sum,
-    bilinear_tail_bound,
     companion_kernel,
     elliptic_e,
     elliptic_k,
