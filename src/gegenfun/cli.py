@@ -2,7 +2,7 @@
 
 Exit codes: 0 all requested checks pass, 1 at least one identity fails or
 stdout was closed early, 2 usage error (unknown identity/function, malformed
-arguments).
+arguments, a numeric argument that is not finite, a value out of range).
 Reports are emitted in catalog order as line-delimited JSON (default) or CSV.
 An optional config file supplies defaults as `key = value` lines
 (keys: order, tol, format; any other key is a usage error); explicit flags
@@ -122,11 +122,6 @@ def _cmd_verify(args) -> int:
         print(f"error: unknown format {fmt!r}", file=sys.stderr)
         return 2
     overrides = {"x": args.x, "u": args.u}
-    for name, values in overrides.items():
-        bad = [v for v in values or () if not cmath.isfinite(v)]
-        if bad:
-            print(f"error: --{name} must be finite, got {bad[0]}", file=sys.stderr)
-            return 2
 
     wanted = list(args.ids)
     if wanted == ["all"]:
@@ -206,7 +201,7 @@ def _cmd_eval(args) -> int:
         else:
             print(f"error: unknown function {args.function!r}", file=sys.stderr)
             return 2
-    except (ValueError, GegenfunError) as exc:
+    except (ValueError, OverflowError, GegenfunError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"{float(value):.15g}")
@@ -228,8 +223,21 @@ def _cmd_classify(args) -> int:
     return 2
 
 
+def _nonfinite(args) -> tuple[str, float | complex] | None:
+    """The first parsed number that is not finite, with its argument's name."""
+    for name, value in vars(args).items():
+        for v in value if isinstance(value, list) else (value,):
+            if isinstance(v, (float, complex)) and not cmath.isfinite(v):
+                return {"lam": "--lambda", "values": "m"}.get(name, f"--{name}"), v
+    return None
+
+
 def _run(argv: list[str] | None) -> int:
     args = _build_parser().parse_args(argv)
+    bad = _nonfinite(args)
+    if bad is not None:
+        print(f"error: {bad[0]} must be finite, got {bad[1]}", file=sys.stderr)
+        return 2
     if args.command == "list":
         return _cmd_list()
     if args.command == "verify":

@@ -42,6 +42,7 @@ from .errors import DomainMismatch, UncancelledPole
 from .gegenbauer import check_lambda, gegenbauer_homogeneous, gegenbauer_weighted_series
 from .hypergeometric import (
     as_negative_integer, gamma_fn, gauss_2f1_series, in_z_pm, pfq_terminating_all, pochhammer,
+    pochhammer_ratios,
 )
 from .legendre import legendre_analytic_series
 from .series import DTYPE, TruncatedSeries, _shift_down, _shift_up, div, pow_alpha
@@ -85,19 +86,10 @@ def lhs_ratio(
     x: Scalar,
     order: int,
 ) -> TruncatedSeries:
-    """sum_n (prod (c_i)_n / prod (d_j)_n) C_n(x) t**n; the weights are built
-    incrementally, so a terminating numerator gives exact zeros."""
+    """sum_n (prod (c_i)_n / prod (d_j)_n) C_n(x) t**n; a terminating numerator
+    gives exact zero weights."""
     check_lambda(lam)
-    w = np.zeros(order + 1, dtype=DTYPE)
-    w[0] = 1.0
-    for n in range(1, order + 1):
-        f = w[n - 1]
-        for a in numerators:
-            f *= a + n - 1
-        for b in denominators:
-            f /= b + n - 1
-        w[n] = f
-    return gegenbauer_weighted_series(lam, x, order, w)
+    return gegenbauer_weighted_series(lam, x, order, pochhammer_ratios(numerators, denominators, order))
 
 
 def _weights_2f1_terminating(b: Scalar, c: Scalar, u: Scalar, order: int) -> np.ndarray:
@@ -537,14 +529,10 @@ def lemma_key_check(
     qn[0] = 1.0
     # After step n, cur holds C_n(w) to width m - n and prev holds C_{n-1}(w).
     cur = qn.copy()
-    coeff = DTYPE(1)
+    coeffs = pochhammer_ratios(numerators, denominators, order)
     for n in range(m):
         width = m - n
         if n:
-            for c in numerators:
-                coeff *= DTYPE(c) + (n - 1)
-            for d in denominators:
-                coeff /= DTYPE(d) + (n - 1)
             qn[n:] = np.convolve(qn[n - 1 : n - 1 + width], q[1 : 1 + width])[:width]
             if n == 1:
                 nxt = w[:width] * (2.0 * lam)
@@ -552,7 +540,7 @@ def lemma_key_check(
                 wc = np.convolve(w[:width], cur[:width])[:width] * (2.0 * (n + lam - 1.0))
                 nxt = (wc - prev[:width] * (n + 2.0 * lam - 2.0)) / n
             prev, cur = cur, nxt
-        acc[n:] += np.convolve(cur, qn[n:])[:width] * coeff
+        acc[n:] += np.convolve(cur, qn[n:])[:width] * coeffs[n]
     return lhs, pow_alpha(r2, -lam) * TruncatedSeries(acc)
 
 
@@ -635,12 +623,6 @@ def second_rewrite(
 class AlgebraicityVerdict:
     algebraic: bool
     clause: int | None
-    detail: str
-
-    def __str__(self) -> str:
-        if self.algebraic:
-            return f"algebraic (clause {self.clause}): {self.detail}"
-        return f"not algebraic by either clause: {self.detail}"
 
 
 def algebraicity(lam: float, gamma: float) -> AlgebraicityVerdict:
@@ -649,10 +631,7 @@ def algebraicity(lam: float, gamma: float) -> AlgebraicityVerdict:
     with gamma-lam in Z±1/3 or Z±1/4."""
     d = gamma - lam
     if in_z_pm(lam, 0.25) and in_z_pm(d, 1.0 / 3.0):
-        return AlgebraicityVerdict(True, 1, "lam in Z±1/4, gamma-lam in Z±1/3")
-    if in_z_pm(lam, 1.0 / 6.0):
-        if in_z_pm(d, 1.0 / 3.0):
-            return AlgebraicityVerdict(True, 2, "lam in Z±1/6, gamma-lam in Z±1/3")
-        if in_z_pm(d, 0.25):
-            return AlgebraicityVerdict(True, 2, "lam in Z±1/6, gamma-lam in Z±1/4")
-    return AlgebraicityVerdict(False, None, f"lam = {lam}, gamma - lam = {d}")
+        return AlgebraicityVerdict(True, 1)
+    if in_z_pm(lam, 1.0 / 6.0) and (in_z_pm(d, 1.0 / 3.0) or in_z_pm(d, 0.25)):
+        return AlgebraicityVerdict(True, 2)
+    return AlgebraicityVerdict(False, None)

@@ -85,6 +85,30 @@ def _check_denominator(c: Scalar, n_terminate: int | None, kmax: int) -> None:
         )
 
 
+def term_ratios(numerators: Sequence[Scalar], denominators: Sequence[Scalar], z: Scalar, n: int) -> np.ndarray:
+    """z prod (c_i + k) / prod (d_j + k) for k = 0..n-1, as one DTYPE array: the
+    ratio of terms k + 1 and k of a hypergeometric series.  The numerator
+    product starts from z, the denominator product from 1, and every shift
+    c + k is formed in DTYPE."""
+    k = np.arange(n, dtype=DTYPE)
+    num = np.full(n, DTYPE(z))
+    for c in numerators:
+        num *= k + c
+    den = np.ones(n, dtype=DTYPE)
+    for d in denominators:
+        den *= k + d
+    return num / den
+
+
+def pochhammer_ratios(numerators: Sequence[Scalar], denominators: Sequence[Scalar], order: int) -> np.ndarray:
+    """prod (c_i)_n / prod (d_j)_n for n = 0..order, as one DTYPE array: the running
+    product of [1, term_ratios(..., 1, order)], so a vanishing shift gives exact
+    zeros from there on."""
+    out = np.ones(order + 1, dtype=DTYPE)
+    out[1:] = term_ratios(numerators, denominators, 1, order)
+    return np.multiply.accumulate(out)
+
+
 def gauss_2f1_coeffs(a: Scalar, b: Scalar, c: Scalar, order: int) -> np.ndarray:
     """Maclaurin coefficients (a)_k (b)_k / ((c)_k k!) for k = 0..order."""
     if order < 0:
@@ -92,14 +116,8 @@ def gauss_2f1_coeffs(a: Scalar, b: Scalar, c: Scalar, order: int) -> np.ndarray:
     n_term = _termination_index(a, b)
     _check_denominator(c, n_term, order)
     n = order if n_term is None else min(order, n_term)
-    k = np.arange(n)
-    aa, bb, cc = DTYPE(a), DTYPE(b), DTYPE(c)
-    # [1, r_0, r_1, ...] with r_k the ratio of terms k + 1 and k; the leading
-    # 1 makes the first product 1 r_0, as a running product from 1 forms it.
-    ratios = np.ones(n + 1, dtype=DTYPE)
-    ratios[1:] = (aa + k) * (bb + k) / ((cc + k) * (k + 1))
     out = np.zeros(order + 1, dtype=DTYPE)
-    out[: n + 1] = np.multiply.accumulate(ratios)
+    out[: n + 1] = pochhammer_ratios((a, b), (c, 1), n)
     return out
 
 
@@ -174,12 +192,13 @@ def pfq_terminating_all(
 ) -> np.ndarray:
     """The (p+1)Fq(-n, c_1..c_p; d_1..d_q; u) for n = 0..order, as one DTYPE array.
 
-    With s_k = u prod (c_i + k) / (prod (d_j + k) (k + 1)), formed once for
-    every n, the k-th term of the n-th sum is prod_{j <= k} (j - n) s_j.  Row n
-    of the cumulative product of (k - n) s_k holds those terms; the factor
-    k - n vanishes at k = n, so the row is exact zeros from there on.  The
-    rows k - n are overlapping windows of one array -order..order-1, so the
-    (order + 1) x order matrix of differences is a view, never formed.
+    With the term ratios s_k = u prod (c_i + k) / ((k + 1) prod (d_j + k)),
+    formed once for every n, the k-th term of the n-th sum is
+    prod_{j <= k} (j - n) s_j.  Row n of the cumulative product of
+    (k - n) s_k holds those terms; the factor k - n vanishes at k = n, so the
+    row is exact zeros from there on.  The rows k - n are overlapping windows
+    of one array -order..order-1, so the (order + 1) x order matrix of
+    differences is a view, never formed.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
@@ -189,14 +208,7 @@ def pfq_terminating_all(
             raise PoleInDenominatorParams(
                 f"denominator parameter {d} vanishes within the finite sum"
             )
-    k = np.arange(order, dtype=DTYPE)
-    num = np.full(order, DTYPE(u))
-    for c in extra_numerators:
-        num *= k + c
-    den = k + 1
-    for d in denominators:
-        den *= k + d
     diffs = sliding_window_view(np.arange(-order, order, dtype=DTYPE), order)[::-1]
-    steps = diffs * (num / den)
+    steps = diffs * term_ratios(extra_numerators, (1, *denominators), u, order)
     return 1 + np.cumprod(steps, axis=1).sum(axis=1)
 

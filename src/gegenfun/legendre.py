@@ -57,7 +57,6 @@ class CaseTag(enum.Enum):
     OCTAHEDRAL = "Octahedral"
     TETRAHEDRAL_A = "TetrahedralA"
     TETRAHEDRAL_B = "TetrahedralB"
-    ICOSAHEDRAL = "Icosahedral"
     GENERIC = "Generic"
 
 

@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainMismatch, OutOfRange
 from .gegenbauer import gegenbauer_recurrence
-from .hypergeometric import gamma_fn, gauss_2f1_scalar
+from .hypergeometric import gamma_fn, gauss_2f1_scalar, pochhammer_ratios
+from .series import DTYPE
 
 _AGM_TOL = 1e-16
 
@@ -122,20 +123,14 @@ def companion_kernel(args: KernelArgs, variant: str = "tilde") -> float:
 def bilinear_coeffs(
     lam: float, theta: float, phi: float, n_max: int, weighted: bool
 ) -> np.ndarray:
-    """Coefficients of the bilinear sum: (n!/(2 lam)_n) C_n(x) C_n(y), optionally
-    carrying the extra (lam+n)/lam kernel weight."""
+    """Coefficients of the bilinear sum: ((1)_n/(2 lam)_n) C_n(x) C_n(y), optionally
+    carrying the extra kernel weight (lam+1)_n/(lam)_n = (lam+n)/lam."""
     x, y = math.cos(theta), math.cos(phi)
     cx = gegenbauer_recurrence(lam, n_max, x).real
     cy = gegenbauer_recurrence(lam, n_max, y).real
-    out = np.zeros(n_max + 1)
-    w = 1.0
-    for n in range(n_max + 1):
-        term = w * cx[n] * cy[n]
-        if weighted:
-            term *= (lam + n) / lam
-        out[n] = term
-        w *= (n + 1.0) / (2.0 * lam + n)
-    return out
+    # DTYPE holds lam + 1 exactly
+    num, den = ((1, DTYPE(lam) + 1), (2.0 * lam, lam)) if weighted else ((1,), (2.0 * lam,))
+    return (pochhammer_ratios(num, den, n_max).real * cx * cy).astype(np.float64)
 
 
 def bilinear_partial_sum(

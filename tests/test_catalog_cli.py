@@ -262,6 +262,25 @@ def test_cli_malformed_order_or_tol_is_a_usage_error(tmp_path, capsys, argv, con
     assert main(["verify", "alt.1", "--order", "10"]) == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--nu", "nan", "--mu", "0.2"],
+        ["classify", "--lambda", "inf", "--gamma", "1"],
+        ["eval", "gegenbauer", "--lambda", "nan", "--n", "3", "--x", "0.5"],
+        ["eval", "legendre", "--nu", "-0.1666666666666667", "--mu", "0.25", "--xi", "800"],
+        ["eval", "legendre", "--nu", "0.5", "--mu", "0.5", "--xi", "800"],
+    ],
+)
+def test_cli_nonfinite_or_overflowing_input_is_a_usage_error(argv, capsys):
+    # a NaN or infinite flag, and a closed form that overflows, end in one
+    # error line and exit 2: no traceback, and no printed nan
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_cli_eval_elliptic(capsys):
     assert main(["eval", "K", "0"]) == 0
     assert capsys.readouterr().out.strip() == "1.5707963267949"
@@ -367,6 +386,17 @@ def test_cli_classify(capsys):
     assert main(["classify"]) == 2
 
 
+def test_import_loads_neither_mpmath_nor_fractions():
+    # numpy is the one runtime dependency: mpmath is a test oracle only, and
+    # no arithmetic of the library needs fractions
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = "import sys, gegenfun, gegenfun.cli; print(sorted({'mpmath', 'fractions'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_cli_closed_stdout_exits_1_without_traceback():
     # The read end is closed before the child starts, so its first write
     # fails; `verify all` would otherwise fit in a pipe buffer and never see it.
@@ -394,35 +424,38 @@ VERIFY_ALL_SHA256 = {
         "0603683c71963f4bb045ad4e15c7e0562068cf2d74b30d249feb66cab971d0e6",
     ),
     1: (
-        "5e6d553f56586df4ec16163335260bf1b915398005122b03f24e438729194e10",
-        "9f4b3a7a8406a9f51521e11c57d119bbf6a13a52d12473768ce9712383f07b7f",
+        "89bd4ae46e477f6782fe61a878259e2a87e31c91c0e8f5a2a634a5294dbe3594",
+        "5d4025f85b2375413b617d71c4fd9f498e1f946ea056312eb3c33a7bd8583b7a",
     ),
     2: (
-        "a46a771e166abc47a8d4a52c1a8e4b84d9d4712e62fbb87294da74fb2a0a5442",
-        "09322402352ce17790a4976e79ca4ea8d522691d11974c3028df85490b809975",
+        "a1b59d012e42bc35582ecd83fba9d11034c360e4546a166474bd09b622847168",
+        "f8fef149da0e259487e284f2da6248b6a13def5020843c3d6242bd7c3214b308",
     ),
     8: (
-        "6920f29f25c43fdc233f5ab9612438a5338366b4e3db72807d83fcead0224ad7",
-        "4d78aa4606a354196142b1ae0497e2b6de3e9e0e80f5267131118dbda3c5fdb7",
+        "e2bf704e9540dc40d86dfb45df82c251d91fc3d7bef87a0f634dcdc824d7cc11",
+        "f60378b848f077b4d8c600cbc89d38b25d23a68358df7278c2c5d089a712d106",
     ),
     16: (
-        "7e2c27ef7015abdde3c22a5e96520d2a34c54facf68bc4e10bc3f918a7764687",
-        "d70636b659bbe6a00cf556f54608f11db6954603f701fdb7cf6ed6496fe18a52",
+        "072e743a3db9fd158f1b2afcd9a140e43e9929a6739207493aadcefade17976d",
+        "435ec42935d0bfe922c09c33688e8fab0878d47f6f32c1e83f5940dea848c893",
     ),
     32: (
-        "c93784a807b7756a7880ff8148126be9c6141637863d38fbd37b69439ae5ed80",
-        "02ef59d1936626624e34be0049de696258de408a93fba897ae72a8883a7feba6",
+        "8790a9e09c6b88b4055b26ca5be3fb9445244635e5d7b63ad9b9aae49c929f81",
+        "861513d31354343ddcf78166a9b93082a1419208e2d72a958afccbee8c234d0a",
     ),
     64: (
-        "4c28ea9a8700a354a943cb3cd6252b9859f635e49c0c298baffc2c38b6e77bc4",
-        "08752348bb25b249864eb238aa200dc0455c1d58887ddb1f5da3fc059d974ef6",
+        "18c6e22423938794445e9d94bbf7666bef91e5804ebaffc7cbdc40556f65d891",
+        "5d13a490633ec3e6876ba59342c918011a2e98d505c370969390d0c69a6a9a59",
     ),
 }
 
 
-@pytest.mark.skipif(
-    np.finfo(np.longdouble).nmant != 63, reason="digests of 80-bit long double output"
+_LONG_DOUBLE_80 = pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant != 63, reason="pins of 80-bit long double output"
 )
+
+
+@_LONG_DOUBLE_80
 @pytest.mark.parametrize("order", sorted(VERIFY_ALL_SHA256))
 def test_verify_all_output_is_pinned(order, capsys):
     digests = []
@@ -433,6 +466,38 @@ def test_verify_all_output_is_pinned(order, capsys):
             out = re.sub(r'"runtime_ms": \d+', '"runtime_ms": 0', out)
         digests.append(hashlib.sha256(out.encode()).hexdigest())
     assert tuple(digests) == VERIFY_ALL_SHA256[order]
+
+
+# (identity, point) of every sample of `verify all` that fails with 80-bit
+# long double at a pinned order, with the lowest such order: each one fails at
+# every higher pinned order too, and every other sample passes. Pinned apart
+# from the digests, so that a re-pinned digest cannot hide a verdict change.
+FAILING_SAMPLES = {
+    ("gf2.b", "lam=0.5 gamma=0.3 x=0.3"): 24,
+    ("gf2.b", "lam=0.166667 gamma=0.5 x=0.45"): 24,
+    ("gf2.b", "lam=2 gamma=1.1 x=0.6"): 24,
+    ("gf2.b", "lam=0.25 gamma=0.583333 x=-0.7"): 24,
+    ("gf2x.b", "lam=0.5 gamma=0.3 u=1 x=0.6"): 24,
+    ("gf2.rewrite.b", "nu=-0.25 mu=0.2 x=0.6"): 24,
+    ("gf2.a", "lam=0.5 gamma=-2 x=1.5"): 32,
+    ("gf2x.b", "lam=0.166667 gamma=0.25 u=0.7+0.2j x=0.6"): 32,
+    ("gf2.rewrite.b", "nu=-0.25 mu=0.333333 x=0.3"): 32,
+    ("gf1.rewrite.a", "nu=1.8 mu=0.2 x=1.3"): 48,
+    ("lemma.key", "lam=0.25 c=0.583333 d=0.5 u=0.6 x=1.5"): 48,
+    ("lemma.key", "lam=0.25 c=0.3;0.2 d=0.5;0.75 u=0.6 x=1.5"): 64,
+    ("lemma.key", "lam=0.25 c=0.4;0.7 d=1.2;0.9 u=0.7+0.2j x=0.6"): 64,
+    ("gf2x.a", "lam=0.5 gamma=0.3 u=1 x=0.6"): 64,
+}
+
+
+@_LONG_DOUBLE_80
+@pytest.mark.parametrize("order, count", [(24, 6), (32, 9), (48, 11), (64, 14)])
+def test_failing_samples_are_pinned(order, count, capsys):
+    main(["verify", "all", "--order", str(order), "--format", "csv"])
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+    failing = {(row[0], row[1]) for row in rows if row[4] == "false"}
+    assert failing == {sample for sample, first in FAILING_SAMPLES.items() if first <= order}
+    assert len(failing) == count
 
 
 # sha256 of the identity, point and order columns of `verify all --order 16

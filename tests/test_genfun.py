@@ -12,7 +12,8 @@ from gegenfun import catalog
 from gegenfun import genfun as gf
 from gegenfun.errors import DomainMismatch, InvalidLambda, UncancelledPole
 from gegenfun.gegenbauer import gegenbauer_recurrence
-from gegenfun.series import DTYPE, TruncatedSeries, mixed_deviation, pow_alpha
+from gegenfun.hypergeometric import pochhammer_ratios
+from gegenfun.series import TruncatedSeries, mixed_deviation, pow_alpha
 
 
 def assert_pair(pair, tol=1e-9, order=None):
@@ -283,15 +284,11 @@ def _ref_lemma_rhs(lam, numerators, denominators, u, x, order):
         fam.append(nxt / n)
     acc = TruncatedSeries.from_constant(0.0, wo)
     qn = TruncatedSeries.from_constant(1.0, wo)
-    coeff = DTYPE(1)
+    coeffs = pochhammer_ratios(numerators, denominators, order)
     for n in range(order + 1):
         if n:
-            for c in numerators:
-                coeff *= DTYPE(c) + (n - 1)
-            for d in denominators:
-                coeff /= DTYPE(d) + (n - 1)
             qn = qn * qfac
-        acc = acc + coeff * (fam[n] * qn)
+        acc = acc + coeffs[n] * (fam[n] * qn)
     return TruncatedSeries((pow_alpha(r2, -lam) * acc).coeffs[: order + 1])
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gegenfun import catalog, genfun
 from gegenfun.errors import NoConvergence, PoleAtNonPositiveInteger, PoleInDenominatorParams
 from gegenfun.hypergeometric import (
     DIRECT_LIMIT,
@@ -20,6 +21,7 @@ from gegenfun.hypergeometric import (
     in_z_pm,
     pfq_terminating_all,
     pochhammer,
+    pochhammer_ratios,
 )
 from gegenfun.series import DTYPE
 from gegenfun.poisson import elliptic_k
@@ -354,6 +356,53 @@ def test_pfq_terminating_all_against_exact_sum():
                 assert new[n] <= old[n] or new[n] <= floor_sq, (c, d, u, order, n)
         if max(old) > floor_sq:
             assert max(new) * 100**2 <= max(old), (c, d, u)
+
+
+def _exact_pochhammer_ratios(numerators, denominators, order):
+    """Exact prod (c)_n / prod (d)_n for n = 0..order at the given double parameters."""
+    c, d = [_exact(v) for v in numerators], [_exact(v) for v in denominators]
+    out = [(Fraction(1), Fraction(0))]
+    for k in range(order):
+        r = out[-1]
+        for cc in c:
+            r = _cmul(r, (cc[0] + k, cc[1]))
+        for dd in d:
+            r = _cdiv(r, (dd[0] + k, dd[1]))
+        out.append(r)
+    return out
+
+
+def _catalog_weight_pairs(monkeypatch):
+    """Every (numerators, denominators) that the catalog's rows pass to
+    pochhammer_ratios through genfun: the lhs_ratio weights and lemma.key's."""
+    seen = {}
+
+    def record(numerators, denominators, order):
+        seen[tuple(numerators), tuple(denominators)] = None
+        return pochhammer_ratios(numerators, denominators, order)
+
+    monkeypatch.setattr(genfun, "pochhammer_ratios", record)
+    for identity in catalog.identity_ids():
+        catalog.run_identity(identity, order=0)
+    return list(seen)
+
+
+def test_pochhammer_ratios_against_exact_products(monkeypatch):
+    # Every shift c + k is formed in long double, so each weight lies within
+    # 1e-17 of the exact product at the double parameters; shifts rounded to
+    # double would miss it by up to 1.7e-15 at order 16.
+    pairs = _catalog_weight_pairs(monkeypatch)
+    assert len(pairs) == 44  # 40 lhs_ratio weights and the 4 lemma.key rows
+    bound_sq = Fraction(1, 10**34)
+    for numerators, denominators in pairs + [((0.3,), (0.5, 1.6 + 0.1j))]:
+        exact = _exact_pochhammer_ratios(numerators, denominators, 96)
+        for order in (16, 64, 96):
+            got = pochhammer_ratios(numerators, denominators, order)
+            assert got.dtype == DTYPE and got.shape == (order + 1,)
+            for n in range(order + 1):
+                g, e = _exact(got[n]), exact[n]
+                err_sq = (g[0] - e[0]) ** 2 + (g[1] - e[1]) ** 2
+                assert err_sq <= bound_sq * (e[0] ** 2 + e[1] ** 2), (numerators, denominators, order, n)
 
 
 # -- the residue test ------------------------------------------------------------
