@@ -2,7 +2,8 @@
 
 Exit codes: 0 all requested checks pass, 1 at least one identity fails or
 stdout was closed early, 2 usage error (unknown identity/function, malformed
-arguments, a numeric argument that is not finite, a value out of range).
+arguments, a numeric argument that is not finite, a value out of range, an
+evaluated value that is not finite).
 Reports are emitted in catalog order as line-delimited JSON (default) or CSV.
 An optional config file supplies defaults as `key = value` lines
 (keys: order, tol, format; any other key is a usage error); explicit flags
@@ -204,7 +205,11 @@ def _cmd_eval(args) -> int:
     except (ValueError, OverflowError, GegenfunError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"{float(value):.15g}")
+    value = float(value)
+    if not math.isfinite(value):
+        print(f"error: {args.function} value {value} is not finite in double precision", file=sys.stderr)
+        return 2
+    print(f"{value:.15g}")
     return 0
 
 

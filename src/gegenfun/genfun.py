@@ -13,8 +13,14 @@ Left sides are weighted Gegenbauer sums (`lhs_ratio`, `lhs_extended_first`,
 home, shared by both sides and the u-extensions: the weights of each family
 (`_first_weights`, `_second_weights`, `_alt_weights`), the 2F1 triples of the
 square-root form "a" and the transformed form "b" (`_gauss_triple`), the
-rewrites' (lam, gamma) (`_rewrite_params`) and Miller's pair gamma in
-{-N, 2 lam + N} (`_miller_gammas`).  They raise on an unknown variant or which.
+rewrites' (lam, gamma) (`_rewrite_params`) and their Legendre triples
+(`_legendre_triple`), and Miller's pair gamma in {-N, 2 lam + N}
+(`_miller_gammas`).  They raise on an unknown variant or which.
+
+Each family with a Legendre rewrite has one right side on a 2F1 triple
+(`_first_rhs`, `_extended_first_rhs`, `_second_rhs`), called with
+`_gauss_triple` by its builder and with `_legendre_triple` by its rewrite,
+whose left side reads `_rewrite_params`.
 
 The two quarter-family closed-form examples (radical expressions in e**xi)
 need special care:
@@ -41,10 +47,8 @@ import numpy as np
 from .errors import DomainMismatch, UncancelledPole
 from .gegenbauer import check_lambda, gegenbauer_homogeneous, gegenbauer_weighted_series
 from .hypergeometric import (
-    as_negative_integer, gamma_fn, gauss_2f1_series, in_z_pm, pfq_terminating_all, pochhammer,
-    pochhammer_ratios,
+    as_negative_integer, gauss_2f1_series, in_z_pm, pfq_terminating_all, pochhammer, pochhammer_ratios,
 )
-from .legendre import legendre_analytic_series
 from .series import DTYPE, TruncatedSeries, _shift_down, _shift_up, div, pow_alpha
 
 Scalar = complex | float | int
@@ -171,6 +175,17 @@ def _gauss_triple(lam: float, gamma: Scalar, variant: str) -> tuple[Scalar, Scal
     raise ValueError(f"unknown variant {variant!r}")
 
 
+def _legendre_triple(nu: float, mu: float, variant: str) -> tuple[float, float, float]:
+    """The 2F1 parameters (-nu - mu, 1 + nu - mu; 1 - mu) of the Legendre
+    function P(nu, mu; z) at argument (1 - z)/2, with degree nu (variant "a")
+    or -1/4 (variant "b"): the rewrites' right sides."""
+    if variant == "b":
+        nu = -0.25
+    elif variant != "a":
+        raise ValueError(f"unknown variant {variant!r}")
+    return -nu - mu, 1.0 + nu - mu, 1.0 - mu
+
+
 def _rewrite_params(nu: float, mu: float, variant: str) -> tuple[float, float]:
     """The (lam, gamma) of the Legendre rewrites: lam = 1/2 - mu with
     gamma = -nu - mu (variant "a") or gamma = 1/2 - 2 mu (variant "b")."""
@@ -198,6 +213,20 @@ def _miller_gammas(lam: float, big_n: int, which: str, names: tuple[str, str]) -
 # -- first generating function ---------------------------------------------------
 
 
+def _first_rhs(triple: tuple, x: Scalar, order: int, variant: str) -> TruncatedSeries:
+    """For the 2F1 triple (a, b, c): R**(-a) 2F1(a, b; c; (1 - (1-xt)/R)/2)
+    (variant "a") or (1-xt)**(-2a) 2F1(a, b; c; (x**2-1)t**2/(1-xt)**2)
+    (variant "b")."""
+    a = triple[0]
+    omxt = _one_minus_xt(x, order)
+    if variant == "a":
+        r2 = _r2(x, order)
+        arg = (1.0 - omxt * pow_alpha(r2, -0.5)) * 0.5
+        return pow_alpha(r2, -a / 2.0) * gauss_2f1_series(*triple, arg)
+    num = TruncatedSeries.from_polynomial([0.0, 0.0, x * x - 1.0], order)
+    return pow_alpha(omxt, -2.0 * a) * gauss_2f1_series(*triple, div(num, omxt * omxt))
+
+
 def first_gf(
     lam: float, gamma: Scalar, x: Scalar, order: int, variant: str = "a"
 ) -> tuple[TruncatedSeries, TruncatedSeries]:
@@ -207,23 +236,15 @@ def first_gf(
     (x**2-1)t**2/(1-xt)**2)."""
     triple = _gauss_triple(lam, gamma, variant)
     lhs = lhs_ratio(lam, *_first_weights(lam, gamma), x, order)
-    if variant == "a":
-        r2 = _r2(x, order)
-        r = pow_alpha(r2, 0.5)
-        arg = div(r + TruncatedSeries.from_polynomial([-1.0, x], order), 2.0 * r)
-        rhs = pow_alpha(r2, -gamma / 2.0) * gauss_2f1_series(*triple, arg)
-    else:
-        omxt = _one_minus_xt(x, order)
-        num = TruncatedSeries.from_polynomial([0.0, 0.0, x * x - 1.0], order)
-        rhs = pow_alpha(omxt, -gamma) * gauss_2f1_series(*triple, div(num, omxt * omxt))
-    return lhs, rhs
+    return lhs, _first_rhs(triple, x, order, variant)
 
 
 def first_rewrite(
     nu: float, mu: float, x: Scalar, order: int, variant: str = "a"
 ) -> tuple[TruncatedSeries, TruncatedSeries]:
     """The first generating function written through the degree-nu, order-mu
-    Legendre combination analytic at argument 1.
+    Legendre combination (z**2-1)**(mu/2) P(nu, mu; z), analytic at z = 1,
+    with its constant 2**mu/Gamma(1-mu) cancelled.
 
     Variant "a" uses z = (1-xt)/R and prefactor R**(nu+mu); variant "b" uses
     z = 2(R/(1-xt))**2 - 1 with fixed degree -1/4 and prefactor
@@ -231,16 +252,7 @@ def first_rewrite(
     """
     lam, gamma = _rewrite_params(nu, mu, variant)
     lhs = lhs_ratio(lam, *_first_weights(lam, gamma), x, order)
-    r2 = _r2(x, order)
-    omxt = _one_minus_xt(x, order)
-    scale = 2.0**-mu * gamma_fn(1.0 - mu)
-    if variant == "a":
-        f = legendre_analytic_series(nu, mu, omxt * pow_alpha(r2, -0.5))
-        rhs = scale * pow_alpha(r2, (nu + mu) / 2.0) * f
-    else:
-        f = legendre_analytic_series(-0.25, mu, 2.0 * div(r2, omxt * omxt) - 1.0)
-        rhs = scale * pow_alpha(omxt, 2.0 * mu - 0.5) * f
-    return lhs, rhs
+    return lhs, _first_rhs(_legendre_triple(nu, mu, variant), x, order, variant)
 
 
 def miller_identities(
@@ -437,22 +449,28 @@ def substitution_table(x: float, t: float, row: int) -> SubstitutionRow:
 # -- extended (u-parameter) families ----------------------------------------------
 
 
+def _extended_first_rhs(triple: tuple, u: Scalar, x: Scalar, order: int, variant: str) -> TruncatedSeries:
+    """For the 2F1 triple (a, b, c): U**(-b) R**(-a) 2F1(a, b; c; (UR - Q)/(2UR))
+    (variant "a") or U**(4a - 2c + 1) Q**(-2a) 2F1(a, b; c; (Q**2 - U**2 R**2)/Q**2)
+    (variant "b")."""
+    a, b, c = triple
+    r2, u2, q = _r2(x, order), _u2(u, x, order), _q_poly(u, x, order)
+    if variant == "a":
+        ur = pow_alpha(u2, 0.5) * pow_alpha(r2, 0.5)
+        f = gauss_2f1_series(*triple, div(ur - q, 2.0 * ur))
+        return pow_alpha(u2, -b / 2.0) * pow_alpha(r2, -a / 2.0) * f
+    qq = q * q
+    f = gauss_2f1_series(*triple, div(qq - u2 * r2, qq))
+    return pow_alpha(u2, 2.0 * a - c + 0.5) * pow_alpha(q, -2.0 * a) * f
+
+
 def extended_first_gf(
     lam: float, gamma: Scalar, u: Scalar, x: Scalar, order: int, variant: str = "a"
 ) -> tuple[TruncatedSeries, TruncatedSeries]:
     """u-extension of the first generating function (u = 1 recovers it)."""
     triple = _gauss_triple(lam, gamma, variant)
     lhs = lhs_extended_first(lam, gamma, u, x, order)
-    r2, u2, q = _r2(x, order), _u2(u, x, order), _q_poly(u, x, order)
-    if variant == "a":
-        ur = pow_alpha(u2, 0.5) * pow_alpha(r2, 0.5)
-        f = gauss_2f1_series(*triple, div(ur - q, 2.0 * ur))
-        rhs = pow_alpha(u2, (gamma - 2.0 * lam) / 2.0) * pow_alpha(r2, -gamma / 2.0) * f
-    else:
-        qq = q * q
-        f = gauss_2f1_series(*triple, div(qq - u2 * r2, qq))
-        rhs = pow_alpha(u2, gamma - lam) * pow_alpha(q, -gamma) * f
-    return lhs, rhs
+    return lhs, _extended_first_rhs(triple, u, x, order, variant)
 
 
 def extended_rewrite(
@@ -460,15 +478,7 @@ def extended_rewrite(
 ) -> tuple[TruncatedSeries, TruncatedSeries]:
     """u-extension of the Legendre rewrite (u = 1 recovers it)."""
     lhs = lhs_extended_first(*_rewrite_params(nu, mu, variant), u, x, order)
-    r2, u2, q = _r2(x, order), _u2(u, x, order), _q_poly(u, x, order)
-    scale = 2.0**-mu * gamma_fn(1.0 - mu)
-    if variant == "a":
-        f = legendre_analytic_series(nu, mu, div(q, pow_alpha(u2, 0.5) * pow_alpha(r2, 0.5)))
-        rhs = scale * pow_alpha(u2, (-nu + mu - 1.0) / 2.0) * pow_alpha(r2, (nu + mu) / 2.0) * f
-    else:
-        f = legendre_analytic_series(-0.25, mu, 2.0 * div(u2 * r2, q * q) - 1.0)
-        rhs = scale * pow_alpha(u2, -mu) * pow_alpha(q, 2.0 * mu - 0.5) * f
-    return lhs, rhs
+    return lhs, _extended_first_rhs(_legendre_triple(nu, mu, variant), u, x, order, variant)
 
 
 def extended_miller(
@@ -547,25 +557,28 @@ def lemma_key_check(
 # -- second generating function ----------------------------------------------------
 
 
+def _second_rhs(triple: tuple, x: Scalar, order: int, variant: str) -> TruncatedSeries:
+    """For the 2F1 triple (a, b, c): the product of 2F1(a, b; c; .) at
+    (1 - R ∓ t)/2 (variant "a"), or (1-2xt)**(-2a) times the product at
+    1 - 1/(R ± t)**2 (variant "b")."""
+    r = pow_alpha(_r2(x, order), 0.5)
+    t = _t(order)
+    if variant == "a":
+        return gauss_2f1_series(*triple, (1.0 - r - t) * 0.5) * gauss_2f1_series(*triple, (1.0 - r + t) * 0.5)
+    rp, rm = r + t, r - t
+    f1 = gauss_2f1_series(*triple, div(rp * rp - 1.0, rp * rp))
+    f2 = gauss_2f1_series(*triple, div(rm * rm - 1.0, rm * rm))
+    pref = pow_alpha(TruncatedSeries.from_polynomial([1.0, -2.0 * x], order), -2.0 * triple[0])
+    return pref * f1 * f2
+
+
 def second_gf(
     lam: float, gamma: Scalar, x: Scalar, order: int, variant: str = "a"
 ) -> tuple[TruncatedSeries, TruncatedSeries]:
     """Product-of-two-2F1 generating function."""
     triple = _gauss_triple(lam, gamma, variant)
     lhs = lhs_ratio(lam, *_second_weights(lam, gamma), x, order)
-    r = pow_alpha(_r2(x, order), 0.5)
-    t = _t(order)
-    if variant == "a":
-        f1 = gauss_2f1_series(*triple, (1.0 - r - t) * 0.5)
-        f2 = gauss_2f1_series(*triple, (1.0 - r + t) * 0.5)
-        rhs = f1 * f2
-    else:
-        rp, rm = r + t, r - t
-        f1 = gauss_2f1_series(*triple, div(rp * rp - 1.0, rp * rp))
-        f2 = gauss_2f1_series(*triple, div(rm * rm - 1.0, rm * rm))
-        pref = pow_alpha(TruncatedSeries.from_polynomial([1.0, -2.0 * x], order), -gamma)
-        rhs = pref * f1 * f2
-    return lhs, rhs
+    return lhs, _second_rhs(triple, x, order, variant)
 
 
 def extended_second_gf(
@@ -594,26 +607,11 @@ def extended_second_gf(
 def second_rewrite(
     nu: float, mu: float, x: Scalar, order: int, variant: str = "a"
 ) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """Second generating function through the analytic Legendre combination."""
+    """Second generating function through the analytic Legendre combination
+    at z = R ± t (variant "a") or 2/(R ∓ t)**2 - 1 (variant "b")."""
     lam, gamma = _rewrite_params(nu, mu, variant)
     lhs = lhs_ratio(lam, *_second_weights(lam, gamma), x, order)
-    r = pow_alpha(_r2(x, order), 0.5)
-    t = _t(order)
-    scale = 2.0 ** (-2.0 * mu) * gamma_fn(1.0 - mu) ** 2
-    if variant == "a":
-        rhs = scale * legendre_analytic_series(nu, mu, r + t) * legendre_analytic_series(nu, mu, r - t)
-    else:
-        rm, rp = r - t, r + t
-        zp = 2.0 * div(TruncatedSeries.from_constant(1.0, order), rm * rm) - 1.0
-        zm = 2.0 * div(TruncatedSeries.from_constant(1.0, order), rp * rp) - 1.0
-        pref = pow_alpha(TruncatedSeries.from_polynomial([1.0, -2.0 * x], order), 2.0 * mu - 0.5)
-        rhs = (
-            scale
-            * pref
-            * legendre_analytic_series(-0.25, mu, zp)
-            * legendre_analytic_series(-0.25, mu, zm)
-        )
-    return lhs, rhs
+    return lhs, _second_rhs(_legendre_triple(nu, mu, variant), x, order, variant)
 
 
 # -- algebraicity classification -----------------------------------------------------

@@ -26,6 +26,9 @@ INT_TOL = 1e-9
 # Direct summation is refused at |z| >= DIRECT_LIMIT outside the terminating
 # case; real z <= -0.5 goes through the Pfaff map first.
 DIRECT_LIMIT = 0.99
+# The scalar direct sum stops after three consecutive terms below SCALAR_TOL
+# times max(1, |partial sum|).
+SCALAR_TOL = 1e-14
 MAX_TERMS = 100_000
 # The direct sum checks its partial sum for inf or NaN, which it never
 # recovers from, after each block of this many terms (a divisor of MAX_TERMS).
@@ -44,9 +47,9 @@ def as_negative_integer(x: Scalar) -> int | None:
 
 
 def in_z_pm(x: float, r: float) -> bool:
-    """Whether x is within INT_TOL of Z + r or of Z - r; r = 0 tests for an integer."""
-    lo, hi = x - r, x + r
-    return abs(lo - round(lo)) <= INT_TOL or abs(hi - round(hi)) <= INT_TOL
+    """Whether x is within INT_TOL of Z ± r, for 0 <= r <= 1/2 (r = 0 tests for an
+    integer); the residue x - round(x) is exact at any magnitude."""
+    return abs(abs(x - round(x)) - r) <= INT_TOL
 
 
 def pochhammer(a: Scalar, n: int) -> complex:
@@ -121,12 +124,12 @@ def gauss_2f1_coeffs(a: Scalar, b: Scalar, c: Scalar, order: int) -> np.ndarray:
     return out
 
 
-def gauss_2f1_scalar(a: Scalar, b: Scalar, c: Scalar, z: Scalar, tol: float = 1e-14) -> complex:
+def gauss_2f1_scalar(a: Scalar, b: Scalar, c: Scalar, z: Scalar) -> complex:
     """Gauss 2F1 by direct summation (terminating series are summed exactly).
 
-    Stops once three consecutive terms fall below tol times the accumulated
-    magnitude.  Raises NoConvergence if the partial sum is not finite there,
-    or at the end of any block of _FINITE_CHECK_EVERY terms.  Real
+    Stops once three consecutive terms fall below SCALAR_TOL times the
+    accumulated magnitude.  Raises NoConvergence if the partial sum is not
+    finite there, or at the end of any block of _FINITE_CHECK_EVERY terms.  Real
     arguments z <= -0.5 are summed after the Pfaff transformation
     2F1(a,b;c;z) = (1-z)^(-a) 2F1(a,c-b;c;z/(z-1)).
 
@@ -152,7 +155,7 @@ def gauss_2f1_scalar(a: Scalar, b: Scalar, c: Scalar, z: Scalar, tol: float = 1e
     if abs(zc.imag) < 1e-300 and zc.real <= -0.5:
         w = zc / (zc - 1.0)
         return complex(
-            (1.0 - zc) ** (-complex(a)) * gauss_2f1_scalar(a, c - b, c, w, tol)
+            (1.0 - zc) ** (-complex(a)) * gauss_2f1_scalar(a, c - b, c, w)
         )
     if abs(zc) >= DIRECT_LIMIT:
         raise NoConvergence(f"|z| = {abs(zc):.4f} outside the direct-summation domain")
@@ -166,7 +169,7 @@ def gauss_2f1_scalar(a: Scalar, b: Scalar, c: Scalar, z: Scalar, tol: float = 1e
             term *= (a + k) * (b + k) * zs / ((c + k) * (k + 1))
             acc += term
             m = abs(acc)
-            if abs(term) < tol * (m if m > 1.0 else 1.0):
+            if abs(term) < SCALAR_TOL * (m if m > 1.0 else 1.0):
                 small += 1
                 if small >= 3:
                     break

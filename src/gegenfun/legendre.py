@@ -32,15 +32,7 @@ from dataclasses import dataclass
 
 from .errors import ArgumentOutOfDomain, InvalidMu, OrderIsPositiveInteger
 from .gegenbauer import gegenbauer_recurrence
-from .hypergeometric import (
-    INT_TOL,
-    gamma_fn,
-    gauss_2f1_coeffs,
-    gauss_2f1_scalar,
-    in_z_pm,
-    pochhammer,
-)
-from .series import TruncatedSeries, compose_vanishing
+from .hypergeometric import INT_TOL, gamma_fn, gauss_2f1_scalar, in_z_pm, pochhammer
 
 Scalar = complex | float | int
 
@@ -274,15 +266,3 @@ def closed_form(
     if abs(mu - 0.5) <= INT_TOL:
         return lambda a: dihedral_case(nu, a, branch), math.cosh if hyperbolic else math.cos
     return None
-
-
-# -- the branch-free combination (z**2-1)^(mu/2) P(nu, mu; z) -----------------
-
-
-def legendre_analytic_series(nu: float, mu: float, z: TruncatedSeries) -> TruncatedSeries:
-    """(z**2-1)^(mu/2) P(nu, mu; z), analytic at z = 1, on a series argument
-    with constant term 1; equals the Ferrers-weighted form (1-z**2)^(mu/2)
-    Ferrers-P on (-1, 1)."""
-    inner = (1.0 - z) * 0.5
-    coeffs = gauss_2f1_coeffs(-nu - mu, 1.0 + nu - mu, 1.0 - mu, z.order)
-    return compose_vanishing(coeffs, inner) * (2.0**mu / gamma_fn(1.0 - mu))

@@ -270,11 +270,13 @@ def test_cli_malformed_order_or_tol_is_a_usage_error(tmp_path, capsys, argv, con
         ["eval", "gegenbauer", "--lambda", "nan", "--n", "3", "--x", "0.5"],
         ["eval", "legendre", "--nu", "-0.1666666666666667", "--mu", "0.25", "--xi", "800"],
         ["eval", "legendre", "--nu", "0.5", "--mu", "0.5", "--xi", "800"],
+        ["eval", "gegenbauer", "--lambda", "0.25", "--n", "3", "--x", "1e300"],
+        ["eval", "gegenbauer", "--lambda", "0.25", "--n", "400", "--x", "1e3"],
     ],
 )
 def test_cli_nonfinite_or_overflowing_input_is_a_usage_error(argv, capsys):
-    # a NaN or infinite flag, and a closed form that overflows, end in one
-    # error line and exit 2: no traceback, and no printed nan
+    # a NaN or infinite flag, and a value that overflows, end in one error
+    # line and exit 2: no traceback, and no printed nan or inf
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -383,6 +385,13 @@ def test_cli_classify(capsys):
     assert capsys.readouterr().out.strip() == "not algebraic"
     assert main(["classify", "--lambda", "0.25", "--gamma", "0.5833333333333334"]) == 0
     assert capsys.readouterr().out.strip() == "algebraic (clause 1)"
+    # a float of magnitude 2**52 or more is an integer, in no Z ± r with r > 0,
+    # though x ± r rounds back to x there
+    for lam in ("1e300", "4503599627370496"):
+        assert main(["classify", "--lambda", lam, "--gamma", "1"]) == 0
+        assert capsys.readouterr().out.strip() == "not algebraic"
+    assert main(["classify", "--nu", "1e300", "--mu", "0.25"]) == 0
+    assert "Octahedral" not in capsys.readouterr().out
     assert main(["classify"]) == 2
 
 
@@ -420,32 +429,32 @@ def test_cli_closed_stdout_exits_1_without_traceback():
 # one reported deviation changes them.
 VERIFY_ALL_SHA256 = {
     0: (
-        "1edcdb6a930b1e74a7153883ba2cdd1a2761bbd8b6ad5b7e08eb68b9c6efff35",
-        "0603683c71963f4bb045ad4e15c7e0562068cf2d74b30d249feb66cab971d0e6",
+        "037d91ac70298c41d4446a99e859d2e00c0b115b92650627d4dee67005ec1905",
+        "36c7bd11b01acf056b6b0e2d5cb1f28e0718de96157e1decce03f9b47cea8413",
     ),
     1: (
-        "89bd4ae46e477f6782fe61a878259e2a87e31c91c0e8f5a2a634a5294dbe3594",
-        "5d4025f85b2375413b617d71c4fd9f498e1f946ea056312eb3c33a7bd8583b7a",
+        "41ec5fcc74f4dd71f8ceeb485d557da2deaef9b3f48abae58afe922c6589b6f2",
+        "26a84593847cadc2beba8e7ce75f85e8a17ac5e24f7c961bc55c20fc5f930330",
     ),
     2: (
-        "a1b59d012e42bc35582ecd83fba9d11034c360e4546a166474bd09b622847168",
-        "f8fef149da0e259487e284f2da6248b6a13def5020843c3d6242bd7c3214b308",
+        "181960e21da11d0c59e485275a61a151ce1a228d529a379d50e195054e17c07c",
+        "6d51f267615c638e14aa2fdf7080722c68b57fcb05f06de27228e301b3221379",
     ),
     8: (
-        "e2bf704e9540dc40d86dfb45df82c251d91fc3d7bef87a0f634dcdc824d7cc11",
-        "f60378b848f077b4d8c600cbc89d38b25d23a68358df7278c2c5d089a712d106",
+        "e290b878729dee4e365292b5d430bf2d929a27d1519bd7aa992d94a33ff8a227",
+        "40edf03c849140f8e61dc6771751b0a438d6d27abf0a35fc5daa88763634640e",
     ),
     16: (
-        "072e743a3db9fd158f1b2afcd9a140e43e9929a6739207493aadcefade17976d",
-        "435ec42935d0bfe922c09c33688e8fab0878d47f6f32c1e83f5940dea848c893",
+        "a1df27266f875ca8eb35a22926c0cf57c30f3eaac587517fdb6dca1d574127c6",
+        "1d97d65b8d289ac1ba3099ee92f8467a6b3f06dbd65cf1aeae16ebcf92567c1f",
     ),
     32: (
-        "8790a9e09c6b88b4055b26ca5be3fb9445244635e5d7b63ad9b9aae49c929f81",
-        "861513d31354343ddcf78166a9b93082a1419208e2d72a958afccbee8c234d0a",
+        "c36320cc7f54614d029d2cecf4adc478bb787773c682b8e00960af47f84c3d71",
+        "7fae3e1b3efd212df9c83d2770e5ad211009d48b12f620819a89c0de8a137081",
     ),
     64: (
-        "18c6e22423938794445e9d94bbf7666bef91e5804ebaffc7cbdc40556f65d891",
-        "5d13a490633ec3e6876ba59342c918011a2e98d505c370969390d0c69a6a9a59",
+        "acc52cb105bb7e0d7032f6564a6f3311dcd878902ccc4efedbba4c1957c66ad9",
+        "2a7e6a2d0a7845360cc821b0d2d0d4a030cd9f216475409265d5648e8129bc2a",
     ),
 }
 

@@ -414,12 +414,15 @@ def _shift_argument(fn, i):
         ("_miller_gammas", _shift_result, 0, ("miller.g1", "miller.g2", "millerx.plus", "millerx.minus")),
         ("_miller_gammas", _shift_result, 1, ("millerx.plus", "millerx.minus")),
         # right-side ingredients only, so the shift cannot cancel between the sides
-        ("gauss_2f1_series", _shift_argument, 2, _GAUSS_IDS),
-        ("legendre_analytic_series", _shift_argument, 1, _REWRITE_IDS),
+        ("gauss_2f1_series", _shift_argument, 2, _GAUSS_IDS + _REWRITE_IDS),
+        ("_legendre_triple", _shift_result, 0, _REWRITE_IDS),
+        ("_legendre_triple", _shift_result, 1, _REWRITE_IDS),
+        ("_legendre_triple", _shift_result, 2, _REWRITE_IDS),
     ],
     ids=[
         "gauss_triple-b", "gauss_triple-c", "rewrite_params-lam", "rewrite_params-gamma",
-        "miller_gammas-first", "miller_gammas-second", "gauss_2f1_series-c", "legendre_analytic_series-mu",
+        "miller_gammas-first", "miller_gammas-second", "gauss_2f1_series-c",
+        "legendre_triple-a", "legendre_triple-b", "legendre_triple-c",
     ],
 )
 def test_a_shifted_relation_fails_every_id_that_reads_it(monkeypatch, name, shift, index, failing):
