@@ -125,7 +125,8 @@ def gauss_2f1_coeffs(a: Scalar, b: Scalar, c: Scalar, order: int) -> np.ndarray:
 
 
 def gauss_2f1_scalar(a: Scalar, b: Scalar, c: Scalar, z: Scalar) -> complex:
-    """Gauss 2F1 by direct summation (terminating series are summed exactly).
+    """Gauss 2F1 by direct summation (terminating series are summed exactly,
+    up to MAX_TERMS terms).
 
     Stops once three consecutive terms fall below SCALAR_TOL times the
     accumulated magnitude.  Raises NoConvergence if the partial sum is not
@@ -141,6 +142,8 @@ def gauss_2f1_scalar(a: Scalar, b: Scalar, c: Scalar, z: Scalar) -> complex:
     """
     n_term = _termination_index(a, b)
     if n_term is not None:
+        if n_term > MAX_TERMS:
+            raise NoConvergence(f"terminating 2F1 has {n_term} terms, more than {MAX_TERMS}")
         _check_denominator(c, n_term, n_term)
         # extended precision: alternating terminating sums cancel heavily
         aa, bb, cc, zz = DTYPE(a), DTYPE(b), DTYPE(c), DTYPE(z)

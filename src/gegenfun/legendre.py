@@ -67,6 +67,18 @@ class Classification:
         return self.primary.value
 
 
+def _reducible_degree(nu: float, mu: float) -> int | None:
+    """The whole number N >= 0 with nu + mu = N, else with mu - nu - 1 = N
+    (the reflection nu -> -nu-1), or None.  Read from the exact residues
+    x - round(x) and integer parts round(x) of nu and mu, so a sum that
+    rounds to an integer, such as 1e16 + 0.25, is not one."""
+    rn, rm = nu - round(nu), mu - round(mu)
+    for r, whole in ((rm + rn, round(mu) + round(nu)), (rm - rn, round(mu) - round(nu) - 1)):
+        if abs(r - round(r)) <= INT_TOL and whole + round(r) >= 0:
+            return whole + round(r)
+    return None
+
+
 def classify(nu: float, mu: float) -> Classification:
     """Sort (nu, mu) into the elementary/algebraic cases of the Legendre ODE.
 
@@ -77,8 +89,7 @@ def classify(nu: float, mu: float) -> Classification:
     families comes back GENERIC.
     """
     matches: list[CaseTag] = []
-    s, d = nu + mu, mu - nu
-    if (in_z_pm(s, 0.0) and round(s) >= 0) or (in_z_pm(d, 0.0) and round(d) >= 1):
+    if _reducible_degree(nu, mu) is not None:
         matches.append(CaseTag.REDUCIBLE)
     if in_z_pm(nu, 0.0):
         matches.append(CaseTag.QUASI_CYCLIC)
@@ -248,10 +259,10 @@ def closed_form(
     """
     hyperbolic = branch is Branch.LEGENDRE
     if on_z:
-        whole = [round(n) for n in (nu + mu, mu - nu - 1.0) if in_z_pm(n, 0.0) and round(n) >= 0]
-        if not whole:
+        big_n = _reducible_degree(nu, mu)
+        if big_n is None:
             return None
-        return lambda z: reducible_case(mu, whole[0], z, branch).real, lambda z: z
+        return lambda z: reducible_case(mu, big_n, z, branch).real, lambda z: z
 
     def degree(target: float) -> bool:
         return abs(nu - target) <= INT_TOL or abs(-nu - 1.0 - target) <= INT_TOL

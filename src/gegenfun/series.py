@@ -34,10 +34,10 @@ DTYPE = np.clongdouble
 _REAL_DTYPE = np.longdouble
 _ZERO = DTYPE(0)
 
-# div and pow_alpha sum only over the nonzero tail coefficients of their
-# operand when it has at most this many; denser operands take the array loop.
-# The scalar sum costs about as much per step as the array loop at about 8
-# nonzero coefficients for N = 16, and at more for longer series.
+# pow_alpha sums only over the nonzero tail coefficients of its base when it
+# has at most this many; denser bases take the array loop.  The scalar sum
+# costs about as much per step as the array loop at about 8 nonzero
+# coefficients for N = 16, and at more for longer series.
 _SPARSE_MAX = 6
 
 # The dense pow_alpha loop forms the weights ((alpha+1)k - m) a_k of this many
@@ -164,20 +164,15 @@ def div(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     v = valuation(b) is divided out of both operands first; the result's
     order is min(order a, order b) - v.
 
-    A divisor whose shifted tail has at most _SPARSE_MAX nonzero
-    coefficients, such as a polynomial of degree d, takes O(d N) scalar work
-    in place of the O(N**2) array loop, bitwise identical to it as in
-    pow_alpha.
-
-    A denser divisor runs the array loop on the lattice g Z, where g is the
-    gcd of the nonzero exponents n >= 1 of the shifted divisor and dividend.
-    Off the lattice every product of the loop has an exact-zero factor, so
-    its dot sum is +0, an[n] (a zero) minus +0 is an[n], and step n gives
-    an[n] / b0; those steps are formed in one array division.  A step on the lattice sums only the
-    lattice terms, in the loop's order; the terms it skips are exact zeros,
-    which leave a sum started at +0 unchanged.  So every coefficient is
-    bitwise identical to the array loop, which takes g times the steps and
-    about g**2 times the products.
+    The array loop runs on the lattice g Z, where g is the gcd of the
+    nonzero exponents n >= 1 of the shifted divisor and dividend.  Off the
+    lattice every product of the loop has an exact-zero factor, so its dot
+    sum is +0, an[n] (a zero) minus +0 is an[n], and step n gives
+    an[n] / b0; those steps are formed in one array division.  A step on the
+    lattice sums only the lattice terms, in the loop's order; the terms it
+    skips are exact zeros, which leave a sum started at +0 unchanged.  So
+    every coefficient is bitwise identical to the array loop, which takes g
+    times the steps and about g**2 times the products.
     """
     vb = b.valuation()
     if vb is None:
@@ -198,28 +193,17 @@ def div(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     out = np.zeros(order + 1, dtype=DTYPE)
     b0 = bn[0]
     out[0] = an[0] / b0
-    tail = bn[1 : order + 1]
-    support = np.flatnonzero(tail)
-    if support.size > _SPARSE_MAX:
-        g = _lattice(support)
-        if g > 1:
-            g = math.gcd(g, _lattice(np.flatnonzero(an[1 : order + 1])))
-        if g > 1:
-            off = _off_lattice(order, g)
-            out[off] = an[off] / b0
-        for n in range(g, order + 1, g):
-            out[n] = (an[n] - np.dot(out[n - g :: -g], bn[g : n + 1 : g])) / b0
-        return TruncatedSeries(out)
-    terms = [(int(k) + 1, tail[k]) for k in support]
-    vals = [out[0]]
-    for n, an_n in enumerate(an[1 : order + 1], 1):
-        acc = _ZERO
-        for k, c in terms:
-            if k > n:
-                break
-            acc = acc + vals[n - k] * c
-        vals.append((an_n - acc) / b0)
-    return TruncatedSeries(np.array(vals, dtype=DTYPE))
+    # An empty tail's lattice is 0, which gcd ignores; with both tails empty
+    # no step lies on the lattice.
+    g = _lattice(np.flatnonzero(bn[1 : order + 1]))
+    if g != 1:
+        g = math.gcd(g, _lattice(np.flatnonzero(an[1 : order + 1]))) or order + 1
+    if g > 1:
+        off = _off_lattice(order, g)
+        out[off] = an[off] / b0
+    for n in range(g, order + 1, g):
+        out[n] = (an[n] - np.dot(out[n - g :: -g], bn[g : n + 1 : g])) / b0
+    return TruncatedSeries(out)
 
 
 def pow_alpha(a: TruncatedSeries, alpha: Scalar) -> TruncatedSeries:

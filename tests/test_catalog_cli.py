@@ -272,6 +272,8 @@ def test_cli_malformed_order_or_tol_is_a_usage_error(tmp_path, capsys, argv, con
         ["eval", "legendre", "--nu", "0.5", "--mu", "0.5", "--xi", "800"],
         ["eval", "gegenbauer", "--lambda", "0.25", "--n", "3", "--x", "1e300"],
         ["eval", "gegenbauer", "--lambda", "0.25", "--n", "400", "--x", "1e3"],
+        # not reducible, and its 2F1 terminates only after 10**16 terms
+        ["eval", "legendre", "--nu", "1e16", "--mu", "0.25", "--z", "1.5"],
     ],
 )
 def test_cli_nonfinite_or_overflowing_input_is_a_usage_error(argv, capsys):
@@ -390,8 +392,10 @@ def test_cli_classify(capsys):
     for lam in ("1e300", "4503599627370496"):
         assert main(["classify", "--lambda", lam, "--gamma", "1"]) == 0
         assert capsys.readouterr().out.strip() == "not algebraic"
-    assert main(["classify", "--nu", "1e300", "--mu", "0.25"]) == 0
-    assert "Octahedral" not in capsys.readouterr().out
+    # nu + mu lies in Z + 1/4 though it rounds to the integer nu: not reducible
+    for nu in ("1e16", "1e300"):
+        assert main(["classify", "--nu", nu, "--mu", "0.25"]) == 0
+        assert capsys.readouterr().out.strip() == "QuasiCyclic"
     assert main(["classify"]) == 2
 
 

@@ -395,12 +395,40 @@ _REWRITE_IDS = (
 )
 
 
-def _shift_result(fn, i):
-    return lambda *a: tuple(v + 1e-6 if k == i else v for k, v in enumerate(fn(*a)))
+def _shift_result(fn, i, by=1e-6):
+    return lambda *a: tuple(v + by if k == i else v for k, v in enumerate(fn(*a)))
 
 
 def _shift_argument(fn, i):
     return lambda *a: fn(*(v + 1e-6 if k == i else v for k, v in enumerate(a)))
+
+
+def _shift_result_by_one(fn, i):
+    return _shift_result(fn, i, 1.0)
+
+
+def _shift_numerator_by_one(fn, i):
+    """Weights (numerators, denominators) with numerator i shifted by 1."""
+
+    def shifted(*a):
+        numerators, denominators = fn(*a)
+        return tuple(v + 1.0 if k == i else v for k, v in enumerate(numerators)), denominators
+
+    return shifted
+
+
+def _shift_linear_base_exponent(fn, _):
+    """pow_alpha with alpha + 1e-6 on a base 1 + c t: a prefactor exponent."""
+
+    def shifted(a, alpha):
+        c = a.coeffs
+        return fn(a, alpha + 1e-6 if c[0] == 1 and not c[2:].any() else alpha)
+
+    return shifted
+
+
+def _negate_x(fn, _):
+    return lambda x, order: fn(-x, order)
 
 
 @pytest.mark.parametrize(
@@ -418,16 +446,29 @@ def _shift_argument(fn, i):
         ("_legendre_triple", _shift_result, 0, _REWRITE_IDS),
         ("_legendre_triple", _shift_result, 1, _REWRITE_IDS),
         ("_legendre_triple", _shift_result, 2, _REWRITE_IDS),
+        # an integer shift by 1: Miller's gamma, and the alternative weights' numerator
+        ("_miller_gammas", _shift_result_by_one, 0, ("miller.g1", "miller.g2", "millerx.plus", "millerx.minus")),
+        ("_alt_weights", _shift_numerator_by_one, 0, ("alt.1", "alt.2")),
+        # a prefactor exponent, such as -2a in (1-xt)**(-2a)
+        ("pow_alpha", _shift_linear_base_exponent, None,
+         ("gf1.b", "gf1.rewrite.b", "gf1x.b", "gf1x.rewrite.b", "gf2.b", "gf2.rewrite.b")),
+        # the sign of x in 1 - xt
+        ("_one_minus_xt", _negate_x, None,
+         ("gf1.a", "gf1.b", "gf1.rewrite.a", "gf1.rewrite.b", "miller.g1", "miller.g2")),
     ],
     ids=[
         "gauss_triple-b", "gauss_triple-c", "rewrite_params-lam", "rewrite_params-gamma",
         "miller_gammas-first", "miller_gammas-second", "gauss_2f1_series-c",
         "legendre_triple-a", "legendre_triple-b", "legendre_triple-c",
+        "miller_gammas-first-by-one", "alt_weights-numerator-by-one", "pow_alpha-linear-base-exponent",
+        "one_minus_xt-negated-x",
     ],
 )
 def test_a_shifted_relation_fails_every_id_that_reads_it(monkeypatch, name, shift, index, failing):
-    # a 1e-6 error in one relation fails, at the default order and tol, every
-    # identity that reads it and no other; the thinnest margin is about 6 tol
+    # a 1e-6 error in one relation, an integer shift, a shifted prefactor
+    # exponent or a flipped sign of x fails, at the default order and tol,
+    # every identity that reads it and no other; the thinnest margin is about
+    # 6 tol
     monkeypatch.setattr(gf, name, shift(getattr(gf, name), index))
     reports = [catalog.run_identity(i) for i in catalog.identity_ids()]
     assert sorted(r.identity_id for r in reports if not r.overall_pass) == sorted(failing)

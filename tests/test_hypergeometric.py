@@ -141,6 +141,14 @@ def test_2f1_scalar_nan_sum_stops_early():
         gauss_2f1_scalar(300.0, 300.0, 0.5, 0.9)
 
 
+def test_2f1_scalar_terminating_sum_is_limited_to_max_terms():
+    # as the direct sum, the terminating one refuses to run past MAX_TERMS
+    # terms, which at a = -1e16 would take 10**16 long double steps
+    for a in (-(MAX_TERMS + 1), -1e16):
+        with pytest.raises(NoConvergence, match="more than"):
+            gauss_2f1_scalar(a, 1.0, 1.0, 0.5)
+
+
 def _ref_gauss_2f1_scalar(a, b, c, z, tol=1e-14):
     """The scalar 2F1 as it was summed in complex arithmetic throughout."""
     n_term = _termination_index(a, b)

@@ -383,7 +383,8 @@ def test_div_bitwise_matches_loop(order):
             assert_bitwise(div(b, b), _ref_div(b, b))
 
 
-# Polynomial operands: the kernels sum only over the nonzero tail coefficients.
+# Polynomial operands: pow_alpha sums only over the nonzero tail coefficients,
+# and div runs its one lattice loop, also on a constant divisor.
 SPARSE_POLYS = (
     [1.5 - 0.5j],
     [1.0, -0.6],
@@ -428,10 +429,14 @@ def test_div_sparse_bitwise_matches_loop(order):
             assert_bitwise(div(a, b), _ref_div(a, b))
 
 
+# Finite, as is its square, on 80-bit and on double long double; its cube overflows.
+_BIG = np.finfo(np.longdouble).max ** 0.4
+
+
 def test_sparse_overflow_still_raises():
-    # past the zero-threshold window of the constant term; big**3 overflows
+    # big**3 overflows at step 24
     c = np.zeros(31, dtype=DTYPE)
-    c[0], c[8] = 1.0, np.longdouble(10) ** 2000
+    c[0], c[8] = 1.0, _BIG
     a = TruncatedSeries(c)
     with np.errstate(over="ignore", invalid="ignore"):
         for got in (pow_alpha, _ref_pow_alpha):
@@ -502,10 +507,10 @@ def test_div_lattice_bitwise_matches_loop(order):
 
 @pytest.mark.parametrize("g", (1, 3))
 def test_dense_overflow_still_raises(g):
-    # big**3 overflows at step 27, past the zero-threshold window of a_0
+    # big**3 overflows at step 27
     rng = np.random.default_rng(g)
     c = np.array(_lattice_coeffs(rng, 30, g), dtype=DTYPE)
-    c[0], c[9] = 1.0, np.longdouble(10) ** 2000
+    c[0], c[9] = 1.0, _BIG
     a = TruncatedSeries(c)
     assert np.flatnonzero(a.coeffs[1:]).size > _SPARSE_MAX
     with np.errstate(over="ignore", invalid="ignore"):
