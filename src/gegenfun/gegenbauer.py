@@ -36,22 +36,40 @@ def gegenbauer_recurrence(lam: float, n_max: int, x: Scalar) -> np.ndarray:
     return out
 
 
-def gegenbauer_homogeneous(lam: float, n: int, y: TruncatedSeries, s: TruncatedSeries | Scalar) -> TruncatedSeries:
-    """H_n(y, s) = s**(n/2) C_n(y / s**(1/2)) at series y and s, by the recurrence
+def gegenbauer_homogeneous_rows(lam: float, n: int, y: TruncatedSeries, s: TruncatedSeries) -> np.ndarray:
+    """Rows H_0 .. H_n of H_m(y, s) = s**(m/2) C_m(y / s**(1/2)) at series y and s, by
 
         m H_m = 2(m + lam - 1) y H_{m-1} - (m + 2 lam - 2) s H_{m-2},
         H_0 = 1,  H_1 = 2 lam y.
 
-    C_n has parity n, so H_n is a polynomial in y and s: no square root of s
-    is taken, and C_n(z) at a series z is H_n(z, 1)."""
+    C_m has parity m, so H_m is a polynomial in y and s.  With v = min(val y,
+    floor(val s / 2)), where a zero series sets no bound, H_m vanishes below
+    t**(m v), and row m >= 2 is formed only on its window [m v, N].  Every bit
+    is that of the full-width series loop: a dropped product has an exact-zero
+    factor, which leaves a dot sum started at +0 unchanged, and both
+    np.convolve operands have one length, so numpy does not swap them and
+    change the summation order.  Below the window that loop leaves +0, as its
+    quotient by m turns a -0 real part into +0; row 1 keeps the signed zeros
+    of y and is formed at full width."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    prev, cur = TruncatedSeries.from_constant(1.0, y.order), y * (2.0 * lam)
-    if n == 0:
-        return prev
-    for m in range(2, n + 1):
-        prev, cur = cur, (y * cur * (2.0 * (m + lam - 1.0)) - s * prev * (m + 2.0 * lam - 2.0)) / m
-    return cur
+    yc, sc, width = y.coeffs, s.coeffs, y.order + 1
+    rows = np.zeros((n + 1, width), dtype=DTYPE)
+    rows[0, 0] = 1.0
+    rows[1:2] = yc * (2.0 * lam)  # no row when n = 0
+    vy, vs = y.valuation(), s.valuation()
+    v = min(width if vy is None else vy, width if vs is None else vs // 2)
+    for m in range(2, min(n, (width - 1) // v if v else n) + 1):
+        lo, w = m * v, width - m * v
+        ycur = np.convolve(yc[v : v + w], rows[m - 1, lo - v : width - v])[:w]
+        sprev = np.convolve(sc[2 * v : 2 * v + w], rows[m - 2, lo - 2 * v : width - 2 * v])[:w]
+        rows[m, lo:] = (ycur * (2.0 * (m + lam - 1.0)) - sprev * (m + 2.0 * lam - 2.0)) / m
+    return rows
+
+
+def gegenbauer_homogeneous(lam: float, n: int, y: TruncatedSeries, s: TruncatedSeries) -> TruncatedSeries:
+    """H_n(y, s), the last row of `gegenbauer_homogeneous_rows`."""
+    return TruncatedSeries(gegenbauer_homogeneous_rows(lam, n, y, s)[-1])
 
 
 def gegenbauer_weighted_series(

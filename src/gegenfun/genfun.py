@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainMismatch, UncancelledPole
-from .gegenbauer import check_lambda, gegenbauer_homogeneous, gegenbauer_weighted_series
+from .gegenbauer import check_lambda, gegenbauer_homogeneous, gegenbauer_homogeneous_rows, gegenbauer_weighted_series
 from .hypergeometric import (
     as_negative_integer, gauss_2f1_series, in_z_pm, pfq_terminating_all, pochhammer, pochhammer_ratios,
 )
@@ -509,49 +509,18 @@ def lemma_key_check(
     LHS weights (p+1)Fq(-n, c; d; u); RHS R**(-2 lam) sum_n
     (prod (c)_n / prod (d)_n) C_n(w) q**n with w = (x-t)/R and q = -tu/R.
 
-    The sum runs in one loop over raw coefficient arrays of width m = N + 1.
-    q has an exact-zero constant term, so q**n has n leading exact zeros and
-    only its window [n, m) is formed; term n then reaches t**N only through
-    the first m - n coefficients of C_n(w), the width at which the
-    three-term recurrence
-
-        C_n = (2(n + lam - 1) w C_{n-1} - (n + 2 lam - 2) C_{n-2}) / n
-
-    forms it, with the scalar operations and order of the full-width series
-    recurrence.  Every coefficient is bitwise identical to the full-width
-    loop: a dropped product term is a finite coefficient times an exact zero,
-    and adding such a zero leaves a dot-product sum started at +0 unchanged,
-    as it leaves the accumulator, which never holds a -0.  Both convolution
-    operands have the same length, because np.convolve swaps a longer second
-    operand and so changes the summation order.
+    q**n C_n(w) is the homogeneous form H_n(wq, q**2), so the sum is the
+    weights times the rows of `gegenbauer_homogeneous_rows`.
     """
     if not 1 <= len(numerators) <= 2 or not 1 <= len(denominators) <= 2:
         raise ValueError("p and q must be 1 or 2")
     lhs = lhs_lemma(lam, numerators, denominators, u, x, order)
     r2 = _r2(x, order)
     rinv = pow_alpha(r2, -0.5)
-    w = (TruncatedSeries.from_polynomial([x, -1.0], order) * rinv).coeffs
-    q = (_t(order) * rinv * (-u)).coeffs
-    m = order + 1
-    acc = np.zeros(m, dtype=DTYPE)
-    # qn[n:] holds the window of q**n; the entries below n are stale.
-    qn = np.zeros(m, dtype=DTYPE)
-    qn[0] = 1.0
-    # After step n, cur holds C_n(w) to width m - n and prev holds C_{n-1}(w).
-    cur = qn.copy()
-    coeffs = pochhammer_ratios(numerators, denominators, order)
-    for n in range(m):
-        width = m - n
-        if n:
-            qn[n:] = np.convolve(qn[n - 1 : n - 1 + width], q[1 : 1 + width])[:width]
-            if n == 1:
-                nxt = w[:width] * (2.0 * lam)
-            else:
-                wc = np.convolve(w[:width], cur[:width])[:width] * (2.0 * (n + lam - 1.0))
-                nxt = (wc - prev[:width] * (n + 2.0 * lam - 2.0)) / n
-            prev, cur = cur, nxt
-        acc[n:] += np.convolve(cur, qn[n:])[:width] * coeffs[n]
-    return lhs, pow_alpha(r2, -lam) * TruncatedSeries(acc)
+    w = TruncatedSeries.from_polynomial([x, -1.0], order) * rinv
+    q = _t(order) * rinv * (-u)
+    rows = gegenbauer_homogeneous_rows(lam, order, w * q, q * q)
+    return lhs, pow_alpha(r2, -lam) * TruncatedSeries(pochhammer_ratios(numerators, denominators, order) @ rows)
 
 
 # -- second generating function ----------------------------------------------------

@@ -70,8 +70,9 @@ def gamma_fn(x: float) -> float:
 
 
 def _termination_index(a: Scalar, b: Scalar) -> int | None:
-    """Smallest n such that (a)_k (b)_k = 0 for k > n, when a or b is a negative integer."""
-    candidates = [-m for m in (as_negative_integer(a), as_negative_integer(b)) if m is not None]
+    """Smallest n such that (a)_k (b)_k = 0 for k > n, when a or b is exactly a
+    non-positive integer; unlike a pole, termination is not read within INT_TOL."""
+    candidates = [-int(p.real) for p in map(complex, (a, b)) if p.imag == 0 and p.real <= 0 and p.real.is_integer()]
     return min(candidates) if candidates else None
 
 

@@ -30,7 +30,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .errors import ArgumentOutOfDomain, InvalidMu, OrderIsPositiveInteger
+from .errors import ArgumentOutOfDomain, InvalidMu, OrderIsPositiveInteger, OutOfRange
 from .gegenbauer import gegenbauer_recurrence
 from .hypergeometric import INT_TOL, gamma_fn, gauss_2f1_scalar, in_z_pm, pochhammer
 
@@ -135,6 +135,15 @@ def legendre_p_hypergeometric(
     else:
         radicand_c = zc * zc - 1.0 if branch is Branch.LEGENDRE else 1.0 - zc * zc
         prefactor = radicand_c ** (-mu / 2.0)
+    # A parameter rounded to an integer that nu's and mu's exact residues deny would terminate.
+    for name, p, sign in (("-nu - mu", -nu - mu, -1.0), ("1 + nu - mu", 1.0 + nu - mu, 1.0)):
+        if float(p).is_integer():
+            r = sign * (nu - round(nu)) - (mu - round(mu))
+            frac = r - round(r)
+            if abs(frac) > INT_TOL:
+                raise OutOfRange(
+                    f"2F1 parameter {name} rounds to the integer {p:.17g}, losing its fractional part {frac:+g}"
+                )
     f = gauss_2f1_scalar(-nu - mu, 1.0 + nu - mu, 1.0 - mu, (1.0 - zc) / 2.0)
     return complex(2.0**mu / gamma_fn(1.0 - mu) * prefactor * f)
 

@@ -272,7 +272,7 @@ def test_cli_malformed_order_or_tol_is_a_usage_error(tmp_path, capsys, argv, con
         ["eval", "legendre", "--nu", "0.5", "--mu", "0.5", "--xi", "800"],
         ["eval", "gegenbauer", "--lambda", "0.25", "--n", "3", "--x", "1e300"],
         ["eval", "gegenbauer", "--lambda", "0.25", "--n", "400", "--x", "1e3"],
-        # not reducible, and its 2F1 terminates only after 10**16 terms
+        # not reducible, and -nu - mu rounds to an integer in double
         ["eval", "legendre", "--nu", "1e16", "--mu", "0.25", "--z", "1.5"],
     ],
 )
@@ -283,6 +283,13 @@ def test_cli_nonfinite_or_overflowing_input_is_a_usage_error(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_cli_eval_legendre_names_the_lost_fractional_part(capsys):
+    # -1e16 - 0.25 rounds to an integer, but the 2F1 it stands for does not terminate
+    assert main(["eval", "legendre", "--nu", "1e16", "--mu", "0.25", "--z", "1.5"]) == 2
+    err = capsys.readouterr().err
+    assert "fractional part -0.25" in err and "terminating" not in err
 
 
 def test_cli_eval_elliptic(capsys):
@@ -441,24 +448,24 @@ VERIFY_ALL_SHA256 = {
         "26a84593847cadc2beba8e7ce75f85e8a17ac5e24f7c961bc55c20fc5f930330",
     ),
     2: (
-        "181960e21da11d0c59e485275a61a151ce1a228d529a379d50e195054e17c07c",
-        "6d51f267615c638e14aa2fdf7080722c68b57fcb05f06de27228e301b3221379",
+        "d069431afffdb9e3d4a5fd34a102e331867582efe5338dd0bf0f85c996d70369",
+        "5f18f6c98519fa1be9be0df568cd298e4d06946cfef6777fb2dd73b2f8ad1c26",
     ),
     8: (
-        "e290b878729dee4e365292b5d430bf2d929a27d1519bd7aa992d94a33ff8a227",
-        "40edf03c849140f8e61dc6771751b0a438d6d27abf0a35fc5daa88763634640e",
+        "a04400592ab34de424eec4962348195159cc9cb3fa209b6e7c027b7d15d9275d",
+        "43f05c3fda8458b648f6b792d1bc9fc23e052c6926fd3a2d046ecb35ca7268de",
     ),
     16: (
-        "a1df27266f875ca8eb35a22926c0cf57c30f3eaac587517fdb6dca1d574127c6",
-        "1d97d65b8d289ac1ba3099ee92f8467a6b3f06dbd65cf1aeae16ebcf92567c1f",
+        "c3f4917daa192be4a3e5aeb8cb64c172a93295ff8d90051e0a43a793a6ee5ab2",
+        "11b28d66369387a968f73d9bb923f287de65a049d91bc2663dc7289345f33198",
     ),
     32: (
-        "c36320cc7f54614d029d2cecf4adc478bb787773c682b8e00960af47f84c3d71",
-        "7fae3e1b3efd212df9c83d2770e5ad211009d48b12f620819a89c0de8a137081",
+        "0e928f06e2db5a81e326993a24fba6bffdd3de1881e2eacd7c4494fc356c0c1e",
+        "de23e2c399db2cbd1a5084f802fc18564dc9f8370a544ded707f1588cca27d5c",
     ),
     64: (
-        "acc52cb105bb7e0d7032f6564a6f3311dcd878902ccc4efedbba4c1957c66ad9",
-        "2a7e6a2d0a7845360cc821b0d2d0d4a030cd9f216475409265d5648e8129bc2a",
+        "748063474213e528c1d25e177bbe8efa96ec45930da64bbc654ebb98226005c9",
+        "31bde6028a6ba09ba01180e342116173be9bcda5cedd4b139299fa5233f64305",
     ),
 }
 
@@ -497,14 +504,13 @@ FAILING_SAMPLES = {
     ("gf2.rewrite.b", "nu=-0.25 mu=0.333333 x=0.3"): 32,
     ("gf1.rewrite.a", "nu=1.8 mu=0.2 x=1.3"): 48,
     ("lemma.key", "lam=0.25 c=0.583333 d=0.5 u=0.6 x=1.5"): 48,
-    ("lemma.key", "lam=0.25 c=0.3;0.2 d=0.5;0.75 u=0.6 x=1.5"): 64,
     ("lemma.key", "lam=0.25 c=0.4;0.7 d=1.2;0.9 u=0.7+0.2j x=0.6"): 64,
     ("gf2x.a", "lam=0.5 gamma=0.3 u=1 x=0.6"): 64,
 }
 
 
 @_LONG_DOUBLE_80
-@pytest.mark.parametrize("order, count", [(24, 6), (32, 9), (48, 11), (64, 14)])
+@pytest.mark.parametrize("order, count", [(24, 6), (32, 9), (48, 11), (64, 13)])
 def test_failing_samples_are_pinned(order, count, capsys):
     main(["verify", "all", "--order", str(order), "--format", "csv"])
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]

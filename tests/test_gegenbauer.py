@@ -7,10 +7,14 @@ import math
 
 import numpy as np
 import pytest
+from _bitwise import assert_bitwise
+from _oracles import homogeneous_rows
 from numpy.polynomial.polynomial import polyval
 
 from gegenfun.errors import InvalidLambda
-from gegenfun.gegenbauer import check_lambda, gegenbauer_homogeneous, gegenbauer_recurrence
+from gegenfun.gegenbauer import (
+    check_lambda, gegenbauer_homogeneous, gegenbauer_homogeneous_rows, gegenbauer_recurrence,
+)
 from gegenfun.hypergeometric import gauss_2f1_scalar, pochhammer
 from gegenfun.series import TruncatedSeries, mixed_deviation, pow_alpha
 
@@ -146,6 +150,26 @@ def test_homogeneous_is_exactly_a_polynomial():
         for n in (0, 1, 3, 10, 33):
             c = gegenbauer_homogeneous(1.0 / 6.0, n, y, s).coeffs
             assert c[n] != 0 and not c[n + 1 :].any(), (x, n)
+
+
+@pytest.mark.parametrize("order", (0, 1, 8, 32))
+def test_homogeneous_rows_bitwise_match_the_series_loop(order):
+    # Miller's pairs (1-xt, R**2) and (Q, U**2 R**2) have valuation 0: every
+    # row spans the full width, with the operations of the series loop
+    for lam in (0.25, 1.0 / 6.0, -0.3):
+        for x in (0.3, 1.5, 1000.0, 0.3 + 0.4j):
+            r2 = TruncatedSeries.from_polynomial([1.0, -2.0 * x, 1.0], order)
+            pairs = [(TruncatedSeries.from_polynomial([1.0, -x], order), r2)]
+            for u in (0.4, 0.7 + 0.2j):
+                v = 1.0 - u
+                u2 = TruncatedSeries.from_polynomial([1.0, -2.0 * v * x, v * v], order)
+                pairs.append((TruncatedSeries.from_polynomial([1.0, -(2.0 - u) * x, v], order), u2 * r2))
+            for y, s in pairs:
+                for n in (0, 1, 3, 10):
+                    ref = homogeneous_rows(lam, n, y, s)
+                    for got, want in zip(gegenbauer_homogeneous_rows(lam, n, y, s), ref, strict=True):
+                        assert_bitwise(TruncatedSeries(got), want)
+                    assert_bitwise(gegenbauer_homogeneous(lam, n, y, s), ref[-1])
 
 
 def test_ordinary_gf_series_paths_agree():

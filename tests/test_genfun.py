@@ -7,11 +7,12 @@ import re
 import numpy as np
 import pytest
 from _bitwise import assert_bitwise
+from _oracles import homogeneous_rows
 
 from gegenfun import catalog
 from gegenfun import genfun as gf
 from gegenfun.errors import DomainMismatch, InvalidLambda, UncancelledPole
-from gegenfun.gegenbauer import gegenbauer_recurrence
+from gegenfun.gegenbauer import gegenbauer_homogeneous_rows, gegenbauer_recurrence
 from gegenfun.hypergeometric import pochhammer_ratios
 from gegenfun.series import TruncatedSeries, mixed_deviation, pow_alpha
 
@@ -59,6 +60,13 @@ def test_first_rewrite():
     assert_pair(gf.first_rewrite(0.0, 0.25, 0.5, 14, "b"), 1e-8)
     # nu = -mu: reducible with N = 0
     assert_pair(gf.first_rewrite(-0.2, 0.2, 1.5, 12, "a"), 1e-9)
+
+
+def test_first_rewrite_next_to_a_terminating_parameter():
+    # nu + mu lies 2e-10 or 2e-9 off the integer 2: the 2F1 does not
+    # terminate, as the left side's Pochhammer weights do not
+    for nu in (1.8, 1.8 + 2e-10, 1.8 + 2e-9):
+        assert_pair(gf.first_rewrite(nu, 0.2, 1.3, 16, "a"), 1e-8)
 
 
 def test_miller_identities():
@@ -270,28 +278,6 @@ def test_lemma_key_check_rejects_excluded_lambda(lam):
         gf.lemma_key_check(lam, (0.3,), (0.5,), 0.6, 1.5, 8)
 
 
-def _ref_lemma_rhs(lam, numerators, denominators, u, x, order):
-    """lemma_key_check's right side as full-width series arithmetic: every
-    C_n(w) and q**n at order N + 2, summed term by term, then truncated."""
-    wo = order + 2
-    r2 = TruncatedSeries.from_polynomial([1.0, -2.0 * x, 1.0], wo)
-    rinv = pow_alpha(r2, -0.5)
-    w = TruncatedSeries.from_polynomial([x, -1.0], wo) * rinv
-    qfac = TruncatedSeries.from_polynomial([0, 1], wo) * rinv * (-u)
-    fam = [TruncatedSeries.from_constant(1.0, wo), 2.0 * lam * w]
-    for n in range(2, order + 1):
-        nxt = (2.0 * (n + lam - 1.0)) * (w * fam[n - 1]) - (n + 2.0 * lam - 2.0) * fam[n - 2]
-        fam.append(nxt / n)
-    acc = TruncatedSeries.from_constant(0.0, wo)
-    qn = TruncatedSeries.from_constant(1.0, wo)
-    coeffs = pochhammer_ratios(numerators, denominators, order)
-    for n in range(order + 1):
-        if n:
-            qn = qn * qfac
-        acc = acc + coeffs[n] * (fam[n] * qn)
-    return TruncatedSeries((pow_alpha(r2, -lam) * acc).coeffs[: order + 1])
-
-
 _LEMMA_CASES = (
     (0.25, (7.0 / 12.0,), (0.5,)),
     (1.7, (0.3, 0.2), (0.5, 0.75)),
@@ -302,13 +288,25 @@ _LEMMA_CASES = (
 
 @pytest.mark.parametrize("order", (0, 1, 2, 5, 17, 64, 90))
 def test_lemma_key_check_bitwise_matches_full_width_sum(order):
-    # The windowed sum drops only products with an exact-zero factor, so each
-    # coefficient and zero sign must match the full-width series loop.
+    # The rows H_n(wq, q**2) = q**n C_n(w) are formed on their valuation
+    # windows, which drop only products with an exact-zero factor: each row,
+    # and the right side summed from them, must match the full-width series
+    # recurrence in value and zero sign.  x = 0 gives val(wq) = 2.
     for lam, c, d in _LEMMA_CASES:
         for u in (0.0, -0.0, 0.6, 0.7 + 0.2j):
-            for x in (1.5, 0.3 + 0.4j):
+            for x in (1.5, 0.6, 0.0, 0.3 + 0.4j):
+                r2 = TruncatedSeries.from_polynomial([1.0, -2.0 * x, 1.0], order)
+                rinv = pow_alpha(r2, -0.5)
+                w = TruncatedSeries.from_polynomial([x, -1.0], order) * rinv
+                q = TruncatedSeries.from_polynomial([0.0, 1.0], order) * rinv * (-u)
+                ref = homogeneous_rows(lam, order, w * q, q * q)
+                for got, want in zip(gegenbauer_homogeneous_rows(lam, order, w * q, q * q), ref, strict=True):
+                    assert_bitwise(TruncatedSeries(got), want)
+                acc = TruncatedSeries.from_constant(0.0, order)
+                for cn, row in zip(pochhammer_ratios(c, d, order), ref):
+                    acc = acc + row * cn
                 _, rhs = gf.lemma_key_check(lam, c, d, u, x, order)
-                assert_bitwise(rhs, _ref_lemma_rhs(lam, c, d, u, x, order))
+                assert_bitwise(rhs, pow_alpha(r2, -lam) * acc)
 
 
 # -- second family ---------------------------------------------------------------------

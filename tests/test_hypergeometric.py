@@ -59,6 +59,19 @@ def test_2f1_coeffs_pole_detection():
         gauss_2f1_coeffs(-3.0, 1.0, -2.0, 5)
 
 
+def test_2f1_termination_is_exact():
+    # a or b terminates the series only when it is exactly a non-positive
+    # integer; just off one, inside INT_TOL, the later terms are small but not
+    # zero.  A pole of c is still read within INT_TOL.
+    assert _termination_index(-3.0, 0.5) == 3 and _termination_index(0.5, complex(-2.0, 0.0)) == 2
+    for a in (-3.0 + 2e-10, -3.0 - 2e-10, complex(-3.0, 1e-12)):
+        assert _termination_index(a, 0.5) is None
+        assert np.all(gauss_2f1_coeffs(a, 0.5, 1.5, 8)[4:] != 0), a
+    for a, c in ((-1.0 + 2e-10, -2.0), (0.5, -2.0 + 2e-10)):
+        with pytest.raises(PoleInDenominatorParams):
+            gauss_2f1_coeffs(a, 1.0, c, 5)
+
+
 def _ref_gauss_2f1_coeffs(a, b, c, order):
     """The running-product loop the one-pass accumulate replaced."""
     n_term = _termination_index(a, b)

@@ -2,13 +2,14 @@
 classifier, degree symmetry, and small-argument normalization."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from _oracles import leading_asymptotic
 from numpy.polynomial.polynomial import polyval
 
-from gegenfun.errors import ArgumentOutOfDomain, InvalidMu, OrderIsPositiveInteger
+from gegenfun.errors import ArgumentOutOfDomain, InvalidMu, OrderIsPositiveInteger, OutOfRange
 from gegenfun.legendre import (
     Branch,
     CaseTag,
@@ -97,6 +98,19 @@ def test_oracle_trivials_and_domain():
         legendre_p_hypergeometric(0.3, 0.25, 0.5, L)
     with pytest.raises(ArgumentOutOfDomain):
         legendre_p_hypergeometric(0.3, 0.25, 1.5, F)
+
+
+def test_oracle_refuses_a_parameter_that_lost_its_fractional_part():
+    # the exact residues of nu and mu put nu + mu in Z + 1/4, but -nu - mu or
+    # 1 + nu - mu rounds to an integer in double, which would be summed as a
+    # terminating series
+    for nu, mu, name, frac in (
+        (1e16, 0.25, "-nu - mu", "-0.25"),
+        (-1e16, 0.25, "-nu - mu", "-0.25"),
+        (2.0**51 + 0.5, -0.75, "1 + nu - mu", "+0.25"),
+    ):
+        with pytest.raises(OutOfRange, match=rf"{re.escape(name)} rounds to the integer .*fractional part {re.escape(frac)}$"):
+            legendre_p_hypergeometric(nu, mu, 1.5)
 
 
 def test_oracle_cyclic_known_value():
