@@ -19,6 +19,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import catalog, legendre, poisson
 from .errors import GegenfunError, InvalidMu
 from .gegenbauer import gegenbauer_recurrence
@@ -202,7 +204,10 @@ def _cmd_eval(args) -> int:
         else:
             print(f"error: unknown function {args.function!r}", file=sys.stderr)
             return 2
-    except (ValueError, OverflowError, GegenfunError) as exc:
+    except OverflowError as exc:
+        print(f"error: {args.function} overflows double precision ({exc})", file=sys.stderr)
+        return 2
+    except (ValueError, GegenfunError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     value = float(value)
@@ -248,7 +253,9 @@ def _run(argv: list[str] | None) -> int:
     if args.command == "verify":
         return _cmd_verify(args)
     if args.command == "eval":
-        return _cmd_eval(args)
+        # an overflow ends in a usage error, not in a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _cmd_eval(args)
     return _cmd_classify(args)
 
 

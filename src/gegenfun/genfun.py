@@ -4,9 +4,9 @@ Naming: R2 is the polynomial 1 - 2xt + t**2 (so R = R2**(1/2) with R(0) = 1),
 U2 is 1 - 2(1-u)xt + (1-u)**2 t**2, and Q is R**2 + u(x-t)t, which expands to
 the polynomial 1 - (2-u)xt + (1-u)t**2.
 
-Every builder works at the order it reports.  Only the two radical examples
-below divide out a valuation, and each pads its working order by exactly the
-coefficients that division removes.
+Every builder works at the order it reports.  Only the octahedral example
+divides out a valuation, and it pads its working order by exactly the one
+coefficient that division removes.
 
 Left sides are weighted Gegenbauer sums (`lhs_ratio`, `lhs_extended_first`,
 `lhs_lemma`), each rejecting an excluded lam.  Each parameter relation has one
@@ -22,23 +22,22 @@ Each family with a Legendre rewrite has one right side on a 2F1 triple
 `_gauss_triple` by its builder and with `_legendre_triple` by its rewrite,
 whose left side reads `_rewrite_params`.
 
-The two quarter-family closed-form examples (radical expressions in e**xi)
-need special care:
+The two radical examples (expressions in e**xi) need special care:
 
 * e**xi = (1 - (x - sqrt(x**2-1)) t) / R has constant term 1 (xi -> 0 with t),
   so sinh(xi)/sinh(xi/3) is a 0/0 ratio resolved by the valuation shift.
-* e**xi = t sqrt(x**2-1) / (1 - R - xt) has a genuine t**(-1) pole, and its
-  cube root carries t**(-1/3).  The pole is factored by hand: with t = s**3,
-  s**3 e**xi is a regular series in s with constant term 2/sqrt|x**2-1|, and
-  every intermediate is a plain series in s times a power of s known from
-  that factor.  The final combination must land on exponents divisible by 3
-  (a genuine power series in t); leftovers above tolerance raise
-  UncancelledPole.
+* e**xi = t sqrt(x**2-1) / (1 - R - xt) has a genuine t**(-1) pole.  With
+  w = e**(-2 xi/3) every power of e**xi cancels, and the tetrahedral right
+  side is a constant times D**(1/12) Psi(V), with D = 1 - xt + R and
+  V = (x**2-1) t**2 / D**2 = ±w**3, a series in t.  Psi, free of x, is formed
+  once per order as a series in w whose exponents must be divisible by 3;
+  leftovers above tolerance raise UncancelledPole.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -47,9 +46,9 @@ import numpy as np
 from .errors import DomainMismatch, UncancelledPole
 from .gegenbauer import check_lambda, gegenbauer_homogeneous, gegenbauer_homogeneous_rows, gegenbauer_weighted_series
 from .hypergeometric import (
-    as_negative_integer, gauss_2f1_series, in_z_pm, pfq_terminating_all, pochhammer, pochhammer_ratios,
+    _termination_index, gauss_2f1_series, in_z_pm, pfq_terminating_all, pochhammer, pochhammer_ratios,
 )
-from .series import DTYPE, TruncatedSeries, _shift_down, _shift_up, div, pow_alpha
+from .series import DTYPE, TruncatedSeries, compose_vanishing, div, pow_alpha
 
 Scalar = complex | float | int
 
@@ -103,13 +102,13 @@ def _weights_2f1_terminating(b: Scalar, c: Scalar, u: Scalar, order: int) -> np.
 
     which avoids the cancellation of the direct alternating sum (at u = 1 it
     collapses to the exact product (c-b)_n/(c)_n, so termination is exact).
-    When c - b = -N and u != 1, the recurrence loses digits; Pfaff's
+    When c - b is exactly -N and u != 1, the recurrence loses digits; Pfaff's
     w_n = (1-u)**n 2F1(-n, -N; c; u/(u-1)) is a sum of min(n, N) + 1 terms."""
     bb, cc, uu = DTYPE(b), DTYPE(c), DTYPE(u)
-    neg_n = as_negative_integer(c - b)
-    if neg_n is not None and u != 1:
+    big_n = _termination_index(c - b)
+    if big_n is not None and u != 1:
         powers = np.cumprod(np.r_[DTYPE(1), np.full(order, 1.0 - uu)])
-        return powers * pfq_terminating_all(order, (neg_n,), (c,), uu / (uu - 1.0))
+        return powers * pfq_terminating_all(order, (-big_n,), (c,), uu / (uu - 1.0))
     w = np.zeros(order + 1, dtype=DTYPE)
     w[0] = 1.0
     if order >= 1:
@@ -311,14 +310,31 @@ def octahedral_example(
 
 
 def _collapse_to_t(a: TruncatedSeries) -> TruncatedSeries:
-    """A series in s whose exponents divisible by 3 become powers of t = s**3;
-    a residue above tolerance at any other exponent is an uncancelled pole."""
+    """A series in w whose exponents divisible by 3 become powers of w**3; a
+    residue above tolerance at any other exponent is an uncancelled pole."""
     tol = 1e-9 * max(1.0, float(np.max(np.abs(a.coeffs))))
     for j, c in enumerate(a.coeffs):
         if j % 3 and abs(c) > tol:
             raise UncancelledPole(f"fractional exponent {j}/3 retains coefficient {abs(c):.3e}")
     # the constructor's real view of the coefficients needs contiguous storage
     return TruncatedSeries(a.coeffs[::3].copy())
+
+
+@functools.cache
+def _tetra_psi(order: int) -> np.ndarray:
+    """The coefficients of Psi(V) up to V**order, read-only, where
+    Psi(w**3) = sqrt(sqrt(3)+1) g+(w)**(1/4) + sqrt(sqrt(3)-1) g-(w)**(1/4)
+    with g± = sqrt((1+w+w**2)/3) ± (1+w)/2, formed as a series in w of order
+    3 order, with sqrt(3) and 1/3 in long double."""
+    wo = 3 * order
+    third = np.longdouble(1) / 3
+    root = pow_alpha(TruncatedSeries.from_polynomial([third, third, third], wo), 0.5)
+    half = TruncatedSeries.from_polynomial([0.5, 0.5], wo)
+    sqrt3 = np.sqrt(np.longdouble(3))
+    psi = pow_alpha(root + half, 0.25) * np.sqrt(sqrt3 + 1) + pow_alpha(root - half, 0.25) * np.sqrt(sqrt3 - 1)
+    coeffs = _collapse_to_t(psi).coeffs
+    coeffs.setflags(write=False)
+    return coeffs
 
 
 def tetrahedral_example(
@@ -331,52 +347,28 @@ def tetrahedral_example(
     branch "circular" (|x| < 1): same with cosh, g±, and
     e**xi = t sqrt(1-x**2)/(-1+R+xt).
 
-    Every intermediate is a regular series in s = t**(1/3) times a power of s
-    fixed by hand, noted on its line: s**3 e**xi is regular with constant term
-    2/sqrt|x**2-1|, so each radical carries the power of s that cancels its
-    share of the pole.
+    With w = e**(-2 xi/3), sinh xi = e**xi (1-w**3)/2, cosh(xi/3) =
+    e**(xi/3) (1+w)/2 and sinh xi/(3 sinh(xi/3)) = e**(2 xi/3) (1+w+w**2)/3
+    cancel every power of e**xi, and (1-w**3)/2 = R/D, so both branches are
+    2**(-7/12) 3**(-3/8) D**(1/12) Psi(V) with D = 1 - xt + R and
+    V = (x**2-1) t**2/D**2 (the circular branch is w -> -w); the branch only
+    gates the domain.
     """
     if branch not in ("hyperbolic", "circular"):
         raise ValueError(f"unknown branch {branch!r}")
-    hyper = branch == "hyperbolic"
-    if hyper and abs(x) <= 1.0:
+    if branch == "hyperbolic" and abs(x) <= 1.0:
         raise DomainMismatch("the hyperbolic substitution needs |x| > 1")
-    if not hyper and abs(x) >= 1.0:
+    if branch == "circular" and abs(x) >= 1.0:
         raise DomainMismatch("the circular substitution needs |x| < 1")
     lhs = lhs_ratio(1.0 / 6.0, *_first_weights(1.0 / 6.0, -1.0 / 12.0), x, order)
-
-    so = 3 * order + 6  # in s = t**(1/3); dividing by 1 - R - xt shifts out s**6
-    r2s = TruncatedSeries.from_polynomial(
-        [1.0, 0, 0, -2.0 * x, 0, 0, 1.0], so
-    )
-    rs = pow_alpha(r2s, 0.5)
-    ts = TruncatedSeries.from_polynomial([0.0, 0, 0, 1.0], so)
-    if hyper:
-        sq = math.sqrt(x * x - 1.0)
-        den = 1.0 - rs - x * ts
-    else:
-        sq = math.sqrt(1.0 - x * x)
-        den = rs + x * ts - 1.0
-    e = div(_shift_down(ts * sq, 3), _shift_down(den, 6))  # s**3 e**xi
-    e3 = pow_alpha(e, 1.0 / 3.0)  # s e**(xi/3)
-    e_inv = _shift_up(pow_alpha(e, -1.0), 6)  # s**3 e**(-xi)
-    e3_inv = _shift_up(pow_alpha(e3, -1.0), 2)  # s e**(-xi/3)
-    sh3 = (e3 - e3_inv) * 0.5  # s sinh(xi/3)
-    ch3 = (e3 + e3_inv) * 0.5  # s cosh(xi/3)
-    if hyper:
-        big, a, b = (e - e_inv) * 0.5, sh3, ch3  # s**3 sinh xi
-    else:  # the circular branch swaps the roles of sinh(xi/3) and cosh(xi/3)
-        big, a, b = (e + e_inv) * 0.5, ch3, sh3  # s**3 cosh xi
-    s_rad = pow_alpha(div(big, a) * (1.0 / 3.0), 0.5)  # s; the quotient carries s**2
-    bracket_plus = b + s_rad  # s
-    bracket_minus = div(a * a * (1.0 / 3.0), bracket_plus)  # s; a * a carries s**2
-    rad_plus = pow_alpha(big * bracket_plus, 0.25)  # s; the product carries s**4
-    rad_minus = pow_alpha(big * bracket_minus, 0.25)  # s
-    combo = (  # s
-        rad_plus * math.sqrt(math.sqrt(3.0) + 1.0) + rad_minus * math.sqrt(math.sqrt(3.0) - 1.0)
-    )
-    total = pow_alpha(r2s, 1.0 / 24.0) * (pow_alpha(big, -1.0 / 3.0) * combo)  # s**-1 times s
-    return lhs, _collapse_to_t(total * (2.0 ** (-7.0 / 12.0) * 3.0**-0.375))
+    d = _one_minus_xt(x, order) + pow_alpha(_r2(x, order), 0.5)
+    v = TruncatedSeries.from_polynomial([0.0, 0.0, x * x - 1.0], order) * pow_alpha(d, -2.0)
+    # 2**(-7/12) D**(1/12) = 2**(-1/2) (D/2)**(1/12), whose constant term is
+    # exactly 1; a double exponent or constant would cost about 1e-16 on
+    # every coefficient
+    one = np.longdouble(1)
+    scale = np.longdouble(3) ** -0.375 / np.sqrt(2 * one)
+    return lhs, pow_alpha(d * 0.5, one / 12) * compose_vanishing(_tetra_psi(order), v) * scale
 
 
 # -- substitution table -----------------------------------------------------------

@@ -69,10 +69,11 @@ def gamma_fn(x: float) -> float:
     return math.gamma(x)
 
 
-def _termination_index(a: Scalar, b: Scalar) -> int | None:
-    """Smallest n such that (a)_k (b)_k = 0 for k > n, when a or b is exactly a
-    non-positive integer; unlike a pole, termination is not read within INT_TOL."""
-    candidates = [-int(p.real) for p in map(complex, (a, b)) if p.imag == 0 and p.real <= 0 and p.real.is_integer()]
+def _termination_index(*params: Scalar) -> int | None:
+    """Smallest n such that the product of the (p)_k is 0 for k > n, when a
+    parameter p is exactly a non-positive integer; unlike a pole, termination
+    is not read within INT_TOL."""
+    candidates = [-int(p.real) for p in map(complex, params) if p.imag == 0 and p.real <= 0 and p.real.is_integer()]
     return min(candidates) if candidates else None
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .errors import ArgumentOutOfDomain, InvalidMu, OrderIsPositiveInteger, OutOfRange
 from .gegenbauer import gegenbauer_recurrence
-from .hypergeometric import INT_TOL, gamma_fn, gauss_2f1_scalar, in_z_pm, pochhammer
+from .hypergeometric import INT_TOL, MAX_TERMS, gamma_fn, gauss_2f1_scalar, in_z_pm, pochhammer
 
 Scalar = complex | float | int
 
@@ -259,8 +259,10 @@ def closed_form(
     With `on_z` the argument a is z itself, and the reducible form serves
     nu = -mu + N, with N = nu + mu if that is a whole number of at least 0,
     else N = mu - nu - 1 (the reflection nu -> -nu-1); it raises InvalidMu
-    for the orders it excludes. Otherwise a is the angle xi or theta of the
-    first of these that serves the base pair, each degree up to nu -> -nu-1:
+    for the orders it excludes.  An N above MAX_TERMS, whose recurrence would
+    outrun memory, raises OutOfRange here.  Otherwise a is the angle xi or
+    theta of the first of these that serves the base pair, each degree up to
+    nu -> -nu-1:
     octahedral at (-1/6, ±1/4), z = cosh xi or cos theta; first tetrahedral
     at (-1/4, ±1/3), z = coth xi or tanh xi; quasi-cyclic at degree 0 with
     any mu, z = coth xi or tanh xi; quasi-dihedral at order 1/2 with any nu,
@@ -271,6 +273,8 @@ def closed_form(
         big_n = _reducible_degree(nu, mu)
         if big_n is None:
             return None
+        if big_n > MAX_TERMS:
+            raise OutOfRange(f"reducible degree N = {big_n} exceeds {MAX_TERMS}")
         return lambda z: reducible_case(mu, big_n, z, branch).real, lambda z: z
 
     def degree(target: float) -> bool:

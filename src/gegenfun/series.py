@@ -130,22 +130,6 @@ class TruncatedSeries:
 # -- series operations --------------------------------------------------------
 
 
-def _shift_down(a: TruncatedSeries, k: int) -> TruncatedSeries:
-    """Divide by t**k, discarding the k leading coefficients, which must be zero."""
-    if k == 0:
-        return a
-    if a.order < k:
-        raise ValueError("shift exceeds order")
-    return TruncatedSeries(a.coeffs[k:])
-
-
-def _shift_up(a: TruncatedSeries, k: int) -> TruncatedSeries:
-    """Multiply by t**k; the known coefficient window grows with the shift."""
-    if k == 0:
-        return a
-    return TruncatedSeries(np.concatenate([np.zeros(k, dtype=DTYPE), a.coeffs]))
-
-
 def _lattice(support: np.ndarray) -> int:
     """gcd of the exponents k + 1 of the tail indices k in support (0 if empty)."""
     return int(np.gcd.reduce(support + 1))

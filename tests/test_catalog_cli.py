@@ -285,6 +285,20 @@ def test_cli_nonfinite_or_overflowing_input_is_a_usage_error(argv, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("nu, message", [("1e16", "reducible degree N = 10000000000000000 exceeds"),
+                                         ("100000", "legendre overflows double precision")])
+def test_cli_eval_legendre_at_a_huge_reducible_degree(nu, message, capsys):
+    # N = 1e16 would allocate N + 1 coefficients, and P_100000(1.5) overflows
+    # in its recurrence: each is one error line and exit 2, also where numpy's
+    # overflow warnings are raised as errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["eval", "legendre", "--nu", nu, "--mu", "0", "--z", "1.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: " + message) and captured.err.count("\n") == 1
+
+
 def test_cli_eval_legendre_names_the_lost_fractional_part(capsys):
     # -1e16 - 0.25 rounds to an integer, but the 2F1 it stands for does not terminate
     assert main(["eval", "legendre", "--nu", "1e16", "--mu", "0.25", "--z", "1.5"]) == 2
@@ -440,32 +454,32 @@ def test_cli_closed_stdout_exits_1_without_traceback():
 # one reported deviation changes them.
 VERIFY_ALL_SHA256 = {
     0: (
-        "037d91ac70298c41d4446a99e859d2e00c0b115b92650627d4dee67005ec1905",
-        "36c7bd11b01acf056b6b0e2d5cb1f28e0718de96157e1decce03f9b47cea8413",
+        "c85cff69e731d27af19c1c96a3a377bd52adfde4398e11bdaa5803041363cef4",
+        "1e68fc8e7f8ea611b5079e090ea910b8bdf7421ae4c8c156fceba2fed44e1847",
     ),
     1: (
-        "41ec5fcc74f4dd71f8ceeb485d557da2deaef9b3f48abae58afe922c6589b6f2",
-        "26a84593847cadc2beba8e7ce75f85e8a17ac5e24f7c961bc55c20fc5f930330",
+        "0d1eab24c677bce28d09d59dafc6356e8d818113715b27a2a7730eb51c7518f4",
+        "e9896fa1b1f11f26e3b4dc9e0f5929d607f29b95b10baf66615d853ed97e39eb",
     ),
     2: (
-        "d069431afffdb9e3d4a5fd34a102e331867582efe5338dd0bf0f85c996d70369",
-        "5f18f6c98519fa1be9be0df568cd298e4d06946cfef6777fb2dd73b2f8ad1c26",
+        "89e5c212131829469b163ace5bf960ffa45120038dd92c16b09dda003bd58889",
+        "d61fa1837c0ca4d1c48cc6baca2f84183bcbaaf02773cad94aae8627386f1b81",
     ),
     8: (
-        "a04400592ab34de424eec4962348195159cc9cb3fa209b6e7c027b7d15d9275d",
-        "43f05c3fda8458b648f6b792d1bc9fc23e052c6926fd3a2d046ecb35ca7268de",
+        "d4db2cb768229d1ad0e2e582838195561ee574d0ef7ce199dcfa3a685f7560fa",
+        "da6a37b4a8dfa1757fb0601c8f48a15db70e73d6c44305541fbca1f4408953ab",
     ),
     16: (
-        "c3f4917daa192be4a3e5aeb8cb64c172a93295ff8d90051e0a43a793a6ee5ab2",
-        "11b28d66369387a968f73d9bb923f287de65a049d91bc2663dc7289345f33198",
+        "c46849b8b5b05d62639b34c7a4ec858f10dbb935ae7b4ab417de713c2d5d45a9",
+        "eed0a6b8e26f0e6e9434b9765d0ade7bcfdaf7018135a3b7895e5b8d26a8871e",
     ),
     32: (
-        "0e928f06e2db5a81e326993a24fba6bffdd3de1881e2eacd7c4494fc356c0c1e",
-        "de23e2c399db2cbd1a5084f802fc18564dc9f8370a544ded707f1588cca27d5c",
+        "cc0a331ef608aa9aca19e0d65533beaa54bacb9859c9bd6aafdf96868df8ac9e",
+        "ab5bc403358317180b5e641f865f9e5cd0ae0f2559a1f1beaf46c2313ab366e7",
     ),
     64: (
-        "748063474213e528c1d25e177bbe8efa96ec45930da64bbc654ebb98226005c9",
-        "31bde6028a6ba09ba01180e342116173be9bcda5cedd4b139299fa5233f64305",
+        "8e1b33d1f1cc7c333d18ddb652900907a06aea12cfc75687557859fcc5d44317",
+        "95d4575158b6767e378a092868aa0780906cedbfe694b37a1297ee9649cef5de",
     ),
 }
 

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 from _bitwise import assert_bitwise
-from _oracles import homogeneous_rows
+from _oracles import homogeneous_rows, tetrahedral_rhs_s_grid
 
 from gegenfun import catalog
 from gegenfun import genfun as gf
@@ -152,6 +152,45 @@ def test_tetrahedral_example_reports_its_order(x, branch, order):
     assert mixed_deviation(lhs, rhs, order) <= 1e-13
 
 
+@pytest.mark.parametrize(
+    "x,branch", [(1.001, "hyperbolic"), (-1.001, "hyperbolic"), (1.5, "hyperbolic"), (2.0, "hyperbolic"),
+                 (12.0, "hyperbolic"), (1e6, "hyperbolic"), (-0.999, "circular"), (0.0, "circular"),
+                 (0.3, "circular"), (0.6, "circular")]
+)
+def test_tetrahedral_example_matches_the_s_grid_builder(x, branch):
+    # D**(1/12) Psi(V) against the radicals of e**xi built on s = t**(1/3)
+    for order in range(65):
+        rhs = gf.tetrahedral_example(x, order, branch)[1]
+        ref = tetrahedral_rhs_s_grid(x, order, branch)
+        assert rhs.order == ref.order == order
+        assert mixed_deviation(rhs, ref) <= 1e-13, order
+
+
+def test_tetrahedral_psi_against_mpmath():
+    # Psi(w**3) is the radical Phi(w) = sqrt(sqrt(3)+1) g+(w)**(1/4)
+    # + sqrt(sqrt(3)-1) g-(w)**(1/4): its Taylor coefficients at exponents not
+    # divisible by 3 vanish, and the others are Psi's within 16 eps
+    mpmath = pytest.importorskip("mpmath")
+    eps = float(np.finfo(np.longdouble).eps)
+    psi = gf._tetra_psi(16)
+    assert psi.size == 17 and not psi.flags.writeable
+    assert gf._tetra_psi(16) is psi
+    with mpmath.workdps(30):
+        sqrt3 = mpmath.sqrt(3)
+
+        def phi(w):
+            root, half = mpmath.sqrt((1 + w + w * w) / 3), (1 + w) / 2
+            return mpmath.sqrt(sqrt3 + 1) * (root + half) ** 0.25 + mpmath.sqrt(sqrt3 - 1) * (root - half) ** 0.25
+
+        ref = mpmath.taylor(phi, 0, 48)
+        for j, c in enumerate(ref):
+            if j % 3:
+                assert abs(c) <= 1e-25, j
+            else:
+                assert abs(mpmath.mpf(str(psi[j // 3].real)) - c) <= 16 * eps * max(1, abs(c)), j
+        assert not psi.imag.any()
+
+
 def test_graded_collapse_rejects_leftovers():
     frac = TruncatedSeries([1.0, 0.5] + [0.0] * 10)
     with pytest.raises(UncancelledPole):
@@ -257,6 +296,21 @@ def test_pfaff_weights_against_mpmath(big_n):
                     got = mpmath.mpc(mpmath.mpf(str(w[n].real)), mpmath.mpf(str(w[n].imag)))
                     ref = mpmath.hyp2f1(-n, c + big_n, c, um)
                     assert abs(got - ref) <= 64 * eps * scale, (lam, u, n)
+
+
+def test_weights_next_to_an_integer_c_minus_b_take_the_recurrence(monkeypatch):
+    # c - b = -2 + 1e-12 is no integer: the weights come from the contiguous
+    # recurrence, not Pfaff's sum, and lie within the parameter shift of the
+    # Pfaff weights at c - b = -2
+    lam, u = 0.25, 0.6
+    exact = gf._weights_2f1_terminating(2.0 * lam + 2.0, 2.0 * lam, u, 32)
+
+    def refuse(*_):
+        raise AssertionError("Pfaff's sum taken")
+
+    monkeypatch.setattr(gf, "pfq_terminating_all", refuse)
+    near = gf._weights_2f1_terminating(2.0 * lam + 2.0 - 1e-12, 2.0 * lam, u, 32)
+    assert np.max(np.abs(near - exact) / np.maximum(1.0, np.abs(exact))) <= 1e-10
 
 
 def test_lemma_key_check():
@@ -450,9 +504,10 @@ def _negate_x(fn, _):
         # a prefactor exponent, such as -2a in (1-xt)**(-2a)
         ("pow_alpha", _shift_linear_base_exponent, None,
          ("gf1.b", "gf1.rewrite.b", "gf1x.b", "gf1x.rewrite.b", "gf2.b", "gf2.rewrite.b")),
-        # the sign of x in 1 - xt
+        # the sign of x in 1 - xt, which the tetrahedral D = 1 - xt + R reads too
         ("_one_minus_xt", _negate_x, None,
-         ("gf1.a", "gf1.b", "gf1.rewrite.a", "gf1.rewrite.b", "miller.g1", "miller.g2")),
+         ("gf1.a", "gf1.b", "gf1.rewrite.a", "gf1.rewrite.b", "miller.g1", "miller.g2",
+          "tetra.c16.hyp", "tetra.c16.circ")),
     ],
     ids=[
         "gauss_triple-b", "gauss_triple-c", "rewrite_params-lam", "rewrite_params-gamma",
@@ -466,7 +521,12 @@ def test_a_shifted_relation_fails_every_id_that_reads_it(monkeypatch, name, shif
     # a 1e-6 error in one relation, an integer shift, a shifted prefactor
     # exponent or a flipped sign of x fails, at the default order and tol,
     # every identity that reads it and no other; the thinnest margin is about
-    # 6 tol
+    # 6 tol.  The cached tetrahedral table is cleared on both sides of the
+    # run: a patched kernel must neither hide behind it nor leak into it.
+    gf._tetra_psi.cache_clear()
     monkeypatch.setattr(gf, name, shift(getattr(gf, name), index))
-    reports = [catalog.run_identity(i) for i in catalog.identity_ids()]
+    try:
+        reports = [catalog.run_identity(i) for i in catalog.identity_ids()]
+    finally:
+        gf._tetra_psi.cache_clear()
     assert sorted(r.identity_id for r in reports if not r.overall_pass) == sorted(failing)

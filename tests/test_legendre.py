@@ -423,6 +423,15 @@ def test_closed_form_reducible_degree(nu, mu, big_n):
         assert z_at(z) == z
 
 
+def test_closed_form_on_z_bounds_the_reducible_degree():
+    # N = nu + mu above MAX_TERMS is refused before its recurrence allocates
+    # N + 1 coefficients; N = MAX_TERMS, or the reflection's N, is served
+    for nu, mu in ((1e16, 0.0), (100001.0, 0.0), (-1e16, 0.0)):
+        with pytest.raises(OutOfRange, match="reducible degree N = .* exceeds 100000"):
+            closed_form(nu, mu, L, on_z=True)
+    assert closed_form(100000.0, 0.0, L, on_z=True) is not None
+
+
 def test_closed_form_on_z_refuses_irreducible_pairs():
     for nu, mu in ((0.3, 0.2), (-1.0 / 6.0, 0.25), (0.2, 0.1)):
         assert closed_form(nu, mu, L, on_z=True) is None

@@ -19,7 +19,6 @@ from gegenfun.series import (
     _BLOCK,
     _SPARSE_MAX,
     _lattice,
-    _shift_down,
     compose_vanishing,
     div,
     mixed_deviation,
@@ -258,8 +257,8 @@ def _ref_pow_alpha(a, alpha):
 def _ref_div(a, b):
     vb = b.valuation()
     order = min(a.order, b.order) - vb
-    an = _shift_down(a, vb).coeffs
-    bn = _shift_down(b, vb).coeffs
+    an = a.coeffs[vb:]
+    bn = b.coeffs[vb:]
     out = np.zeros(order + 1, dtype=DTYPE)
     b0 = bn[0]
     for n in range(order + 1):
