@@ -25,6 +25,7 @@ from . import catalog, legendre, poisson
 from .errors import GegenfunError, InvalidMu
 from .gegenbauer import gegenbauer_recurrence
 from .genfun import algebraicity
+from .hypergeometric import MAX_TERMS
 from .legendre import Branch
 
 
@@ -190,10 +191,10 @@ def _cmd_eval(args) -> int:
                 raise ValueError("K and E take one positional argument m")
             value = (poisson.elliptic_k if fn == "k" else poisson.elliptic_e)(args.values[0])
         elif fn == "gegenbauer":
-            lam, x = _require(args, ["lam", "x"])
-            if args.n is None:
-                raise ValueError("--n is required for gegenbauer")
-            value = gegenbauer_recurrence(lam, args.n, x)[args.n].real
+            lam, x, n = _require(args, ["lam", "x", "n"])
+            if n > MAX_TERMS:  # refused before its recurrence allocates n + 1 values
+                raise ValueError(f"degree n = {n} exceeds {MAX_TERMS}")
+            value = gegenbauer_recurrence(lam, n, x)[n].real
         elif fn == "legendre":
             value = _eval_legendre(args)
         elif fn in ("kernel", "companion"):

@@ -4,9 +4,8 @@ Naming: R2 is the polynomial 1 - 2xt + t**2 (so R = R2**(1/2) with R(0) = 1),
 U2 is 1 - 2(1-u)xt + (1-u)**2 t**2, and Q is R**2 + u(x-t)t, which expands to
 the polynomial 1 - (2-u)xt + (1-u)t**2.
 
-Every builder works at the order it reports.  Only the octahedral example
-divides out a valuation, and it pads its working order by exactly the one
-coefficient that division removes.
+Every builder works at the order it reports, and every divisor has a nonzero
+constant term.
 
 Left sides are weighted Gegenbauer sums (`lhs_ratio`, `lhs_extended_first`,
 `lhs_lemma`), each rejecting an excluded lam.  Each parameter relation has one
@@ -22,16 +21,13 @@ Each family with a Legendre rewrite has one right side on a 2F1 triple
 `_gauss_triple` by its builder and with `_legendre_triple` by its rewrite,
 whose left side reads `_rewrite_params`.
 
-The two radical examples (expressions in e**xi) need special care:
-
-* e**xi = (1 - (x - sqrt(x**2-1)) t) / R has constant term 1 (xi -> 0 with t),
-  so sinh(xi)/sinh(xi/3) is a 0/0 ratio resolved by the valuation shift.
-* e**xi = t sqrt(x**2-1) / (1 - R - xt) has a genuine t**(-1) pole.  With
-  w = e**(-2 xi/3) every power of e**xi cancels, and the tetrahedral right
-  side is a constant times D**(1/12) Psi(V), with D = 1 - xt + R and
-  V = (x**2-1) t**2 / D**2 = ±w**3, a series in t.  Psi, free of x, is formed
-  once per order as a series in w whose exponents must be divisible by 3;
-  leftovers above tolerance raise UncancelledPole.
+The two radical examples are expressions in e**xi.  With w = e**(-2 xi/3)
+every power of e**xi cancels, so each right side is a power of a series in t
+times a series free of x, formed once per order, at a series in t vanishing
+at t = 0: b**(1/12) Phi(w - 1) (octahedral), and a constant times
+D**(1/12) Psi(V) with V = ±w**3 (tetrahedral, where e**xi has a t**(-1)
+pole; Psi is formed in w, and leftovers at exponents not divisible by 3
+raise UncancelledPole).
 """
 
 from __future__ import annotations
@@ -286,27 +282,38 @@ def alt_gf(
 # -- the two explicit radical examples -------------------------------------------
 
 
+@functools.cache
+def _octa_phi(order: int) -> np.ndarray:
+    """The coefficients of Phi(delta) = ((1 + delta/2 + sqrt(1 + delta + delta**2/3))/2)**(1/4)
+    up to delta**order, read-only, formed in long double: Phi(w - 1) = (g+(w)/2)**(1/4)
+    with g+(w) = (1+w)/2 + sqrt((1+w+w**2)/3), and Phi(0) = 1 exactly."""
+    one = np.longdouble(1)
+    root = pow_alpha(TruncatedSeries.from_polynomial([one, one, one / 3], order), one / 2)
+    half = TruncatedSeries.from_polynomial([one, one / 2], order)
+    coeffs = pow_alpha((root + half) * 0.5, one / 4).coeffs
+    coeffs.setflags(write=False)
+    return coeffs
+
+
 def octahedral_example(
     x: float, order: int
 ) -> tuple[TruncatedSeries, TruncatedSeries]:
     """Quarter-parameter family: closed form 2**(-1/4) R**(1/12)
     [cosh(xi/3) + sqrt(sinh xi/(3 sinh(xi/3)))]**(1/4) with
-    e**xi = (1 - (x - sqrt(x**2-1)) t)/R; needs |x| > 1."""
+    e**xi = b/R, b = 1 - (x - sqrt(x**2-1)) t; needs |x| > 1.
+
+    With w = e**(-2 xi/3), cosh(xi/3) = e**(xi/3) (1+w)/2 and
+    sinh xi/(3 sinh(xi/3)) = e**(2 xi/3) (1+w+w**2)/3, so the bracket is
+    e**(xi/3) g+(w) and the right side is b**(1/12) Phi(w - 1), where
+    w = b**(-2/3) (R**2)**(1/3) and Phi, free of x, is formed once per order."""
     if abs(x) <= 1.0:
         raise DomainMismatch("the hyperbolic substitution needs |x| > 1")
     lhs = lhs_ratio(0.25, *_first_weights(0.25, -1.0 / 12.0), x, order)
-    wo = order + 1  # the one coefficient div(sinh_xi, sinh_xi3) shifts out
-    r2 = _r2(x, wo)
     sq = cmath.sqrt(x * x - 1.0)  # inf, not OverflowError, where x * x overflows
-    e = TruncatedSeries.from_polynomial([1.0, -(x - sq)], wo) * pow_alpha(r2, -0.5)
-    e3 = pow_alpha(e, 1.0 / 3.0)
-    e3_inv = pow_alpha(e3, -1.0)
-    sinh_xi = (e - pow_alpha(e, -1.0)) * 0.5
-    sinh_xi3 = (e3 - e3_inv) * 0.5
-    cosh_xi3 = (e3 + e3_inv) * 0.5
-    ratio = div(sinh_xi, sinh_xi3)  # 0/0 at t = 0, limit 3; order drops by 1
-    bracket = cosh_xi3 + pow_alpha(ratio * (1.0 / 3.0), 0.5)
-    return lhs, 2.0**-0.25 * pow_alpha(r2, 1.0 / 24.0) * pow_alpha(bracket, 0.25)
+    b = TruncatedSeries.from_polynomial([1.0, -(x - sq)], order)
+    one = np.longdouble(1)  # a double exponent would cost about 1e-16 on every coefficient
+    w = pow_alpha(b, -2 * one / 3) * pow_alpha(_r2(x, order), one / 3)
+    return lhs, pow_alpha(b, one / 12) * compose_vanishing(_octa_phi(order), w - 1.0)
 
 
 def _collapse_to_t(a: TruncatedSeries) -> TruncatedSeries:
@@ -527,8 +534,9 @@ def _second_rhs(triple: tuple, x: Scalar, order: int, variant: str) -> Truncated
     if variant == "a":
         return gauss_2f1_series(*triple, (1.0 - r - t) * 0.5) * gauss_2f1_series(*triple, (1.0 - r + t) * 0.5)
     rp, rm = r + t, r - t
-    f1 = gauss_2f1_series(*triple, div(rp * rp - 1.0, rp * rp))
-    f2 = gauss_2f1_series(*triple, div(rm * rm - 1.0, rm * rm))
+    rp2, rm2 = rp * rp, rm * rm
+    f1 = gauss_2f1_series(*triple, div(rp2 - 1.0, rp2))
+    f2 = gauss_2f1_series(*triple, div(rm2 - 1.0, rm2))
     pref = pow_alpha(TruncatedSeries.from_polynomial([1.0, -2.0 * x], order), -2.0 * triple[0])
     return pref * f1 * f2
 
@@ -550,16 +558,19 @@ def extended_second_gf(
     triple = _gauss_triple(lam, gamma, variant)
     lhs = lhs_lemma(lam, *_second_weights(lam, gamma), u, x, order)
     r2, u2 = _r2(x, order), _u2(u, x, order)
-    r, us = pow_alpha(r2, 0.5), pow_alpha(u2, 0.5)
+    us = pow_alpha(u2, 0.5)
     ut = _t(order) * u
     if variant == "a":
-        f1 = gauss_2f1_series(*triple, div(r - us + ut, 2.0 * r))
-        f2 = gauss_2f1_series(*triple, div(r - us - ut, 2.0 * r))
+        r = pow_alpha(r2, 0.5)
+        two_r = 2.0 * r
+        f1 = gauss_2f1_series(*triple, div(r - us + ut, two_r))
+        f2 = gauss_2f1_series(*triple, div(r - us - ut, two_r))
         rhs = pow_alpha(r2, -lam) * f1 * f2
     else:
         um, up = us - ut, us + ut
-        f1 = gauss_2f1_series(*triple, div(um * um - r2, um * um))
-        f2 = gauss_2f1_series(*triple, div(up * up - r2, up * up))
+        um2, up2 = um * um, up * up
+        f1 = gauss_2f1_series(*triple, div(um2 - r2, um2))
+        f2 = gauss_2f1_series(*triple, div(up2 - r2, up2))
         pref = pow_alpha(u2 - ut * ut, -gamma) * pow_alpha(r2, gamma - lam)
         rhs = pref * f1 * f2
     return lhs, rhs

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .errors import ArgumentOutOfDomain, InvalidMu, OrderIsPositiveInteger, OutOfRange
 from .gegenbauer import gegenbauer_recurrence
-from .hypergeometric import INT_TOL, MAX_TERMS, gamma_fn, gauss_2f1_scalar, in_z_pm, pochhammer
+from .hypergeometric import INT_TOL, MAX_TERMS, gamma_fn, gauss_2f1_scalar, in_z_pm, pochhammer_ratios
 
 Scalar = complex | float | int
 
@@ -166,7 +166,9 @@ def reducible_case(mu: float, big_n: int, z: Scalar, branch: Branch = Branch.LEG
     else:
         pref = radicand ** (-mu / 2.0)
     cn = gegenbauer_recurrence(0.5 - mu, big_n, zc)[big_n]
-    scale = 2.0**mu / gamma_fn(1.0 - mu) * math.factorial(big_n) / pochhammer(1.0 - 2.0 * mu, big_n)
+    if not abs(cn) < math.inf:  # a NaN fails too
+        raise OverflowError(f"the Gegenbauer recurrence overflows by degree N = {big_n}")
+    scale = 2.0**mu / gamma_fn(1.0 - mu) * pochhammer_ratios((1.0,), (1.0 - 2.0 * mu,), big_n)[big_n]
     return complex(scale * pref * cn)
 
 

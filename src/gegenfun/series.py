@@ -2,10 +2,8 @@
 
 A series of order N stores the N+1 Taylor coefficients of a function at
 t = 0; higher-order terms are unknown rather than zero.  Arithmetic results
-carry order = min of the operand orders.  Division by a series whose first
-nonzero coefficient sits at index v > 0 removes the common factor t^v and
-reduces the order by v, so callers that need order N after divisions must
-over-allocate.
+carry order = min of the operand orders; a divisor needs a nonzero constant
+term.
 
 All operations are pure: no instance is mutated after construction.
 """
@@ -142,40 +140,27 @@ def _off_lattice(n: int, g: int) -> np.ndarray:
 
 
 def div(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Series division with removable-singularity handling.
-
-    Requires valuation(b) <= valuation(a).  A common factor t**v with
-    v = valuation(b) is divided out of both operands first; the result's
-    order is min(order a, order b) - v.
+    """Series division by a divisor with a nonzero constant term; the result's
+    order is min(order a, order b).
 
     The array loop runs on the lattice g Z, where g is the gcd of the
-    nonzero exponents n >= 1 of the shifted divisor and dividend.  Off the
-    lattice every product of the loop has an exact-zero factor, so its dot
-    sum is +0, an[n] (a zero) minus +0 is an[n], and step n gives
-    an[n] / b0; those steps are formed in one array division.  A step on the
-    lattice sums only the lattice terms, in the loop's order; the terms it
-    skips are exact zeros, which leave a sum started at +0 unchanged.  So
-    every coefficient is bitwise identical to the array loop, which takes g
-    times the steps and about g**2 times the products.
+    nonzero exponents n >= 1 of the divisor and dividend.  Off the lattice
+    every product of the loop has an exact-zero factor, so its dot sum is +0,
+    an[n] (a zero) minus +0 is an[n], and step n gives an[n] / b0; those
+    steps are formed in one array division.  A step on the lattice sums only
+    the lattice terms, in the loop's order; the terms it skips are exact
+    zeros, which leave a sum started at +0 unchanged.  So every coefficient
+    is bitwise identical to the array loop, which takes g times the steps and
+    about g**2 times the products.
     """
-    vb = b.valuation()
-    if vb is None:
-        raise DivisionByZeroSeries("divisor is the zero series")
-    va = a.valuation()
-    order = min(a.order, b.order) - vb
-    if va is None:
-        if order < 0:
-            raise DivisionByZeroSeries("no retained coefficients after valuation shift")
-        return TruncatedSeries.from_constant(0.0, order)
-    if vb > va:
-        raise DivisionByZeroSeries(
-            f"divisor valuation {vb} exceeds dividend valuation {va}"
-        )
-    # Both shifted operands keep at least order + 1 coefficients.
-    an = a.coeffs[vb:]
-    bn = b.coeffs[vb:]
-    out = np.zeros(order + 1, dtype=DTYPE)
+    an, bn = a.coeffs, b.coeffs
     b0 = bn[0]
+    if b0 == 0:
+        raise DivisionByZeroSeries("divisor has zero constant term")
+    order = min(a.order, b.order)
+    if a.valuation() is None:
+        return TruncatedSeries.from_constant(0.0, order)
+    out = np.zeros(order + 1, dtype=DTYPE)
     out[0] = an[0] / b0
     # An empty tail's lattice is 0, which gcd ignores; with both tails empty
     # no step lies on the lattice.

@@ -272,6 +272,8 @@ def test_cli_malformed_order_or_tol_is_a_usage_error(tmp_path, capsys, argv, con
         ["eval", "legendre", "--nu", "0.5", "--mu", "0.5", "--xi", "800"],
         ["eval", "gegenbauer", "--lambda", "0.25", "--n", "3", "--x", "1e300"],
         ["eval", "gegenbauer", "--lambda", "0.25", "--n", "400", "--x", "1e3"],
+        # refused before its recurrence allocates n + 1 values
+        ["eval", "gegenbauer", "--lambda", "0.25", "--n", "10000000000000000", "--x", "0.5"],
         # not reducible, and -nu - mu rounds to an integer in double
         ["eval", "legendre", "--nu", "1e16", "--mu", "0.25", "--z", "1.5"],
     ],
@@ -297,6 +299,13 @@ def test_cli_eval_legendre_at_a_huge_reducible_degree(nu, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: " + message) and captured.err.count("\n") == 1
+
+
+def test_cli_eval_legendre_at_a_reducible_degree_above_170(capsys):
+    # N! overflows double from N = 171, but N!/(1-2mu)_N does not
+    assert main(["eval", "legendre", "--nu", "200", "--mu", "0", "--z", "1.001"]) == 0
+    got = float(capsys.readouterr().out)
+    assert abs(got - 1058.8156520507285) <= 1e-12 * got  # mpmath legenp(200, 0, 1.001)
 
 
 def test_cli_eval_legendre_names_the_lost_fractional_part(capsys):
@@ -454,32 +463,32 @@ def test_cli_closed_stdout_exits_1_without_traceback():
 # one reported deviation changes them.
 VERIFY_ALL_SHA256 = {
     0: (
-        "c85cff69e731d27af19c1c96a3a377bd52adfde4398e11bdaa5803041363cef4",
-        "1e68fc8e7f8ea611b5079e090ea910b8bdf7421ae4c8c156fceba2fed44e1847",
+        "895a6f06488e9333f91eca6a954fb5ed79a005d9731593adce05d5030e2bb395",
+        "fa306365eaaf4a5d3bff3d782749826c3d26c383a34e129bb23ae34f9f4a46c3",
     ),
     1: (
-        "0d1eab24c677bce28d09d59dafc6356e8d818113715b27a2a7730eb51c7518f4",
-        "e9896fa1b1f11f26e3b4dc9e0f5929d607f29b95b10baf66615d853ed97e39eb",
+        "7d1deaebf328e60c8cc8c051b762b27e14613f4e57f8c8d57718122931c965b7",
+        "02de2d82f52834a43e7a03fc34bde7579ad302890350b2df89991109aedbca7c",
     ),
     2: (
-        "89e5c212131829469b163ace5bf960ffa45120038dd92c16b09dda003bd58889",
-        "d61fa1837c0ca4d1c48cc6baca2f84183bcbaaf02773cad94aae8627386f1b81",
+        "e29ba09e0e1b8fcf9ddbe77809da536eab3b5cdfbe8c4b246a757ad61bdc4836",
+        "8fd5f1088993a253cb8bc4708a1beb0c08ace087f80b2a9bb471b37095c214f8",
     ),
     8: (
-        "d4db2cb768229d1ad0e2e582838195561ee574d0ef7ce199dcfa3a685f7560fa",
-        "da6a37b4a8dfa1757fb0601c8f48a15db70e73d6c44305541fbca1f4408953ab",
+        "c958972ff14f7c468f1fec91f4e0fb8582d3c59e94c4c055b29920e602d38211",
+        "8b60a4008f1069800bb912a8e0154a26fd27130411b6e946b277a73a897767b4",
     ),
     16: (
-        "c46849b8b5b05d62639b34c7a4ec858f10dbb935ae7b4ab417de713c2d5d45a9",
-        "eed0a6b8e26f0e6e9434b9765d0ade7bcfdaf7018135a3b7895e5b8d26a8871e",
+        "d3858c318f9c539708d0f21cde0bb68af64f3972d02ab467bd0cb9dba1f1c0fb",
+        "39fcfc39b523811ba04a2e250c4f12db2034dd0ca77ba80cf3355abf045a4eb2",
     ),
     32: (
-        "cc0a331ef608aa9aca19e0d65533beaa54bacb9859c9bd6aafdf96868df8ac9e",
-        "ab5bc403358317180b5e641f865f9e5cd0ae0f2559a1f1beaf46c2313ab366e7",
+        "92b8675b2e9842b765afe2d8700ae997c9cd97692f738375bcd02bf35f2ec931",
+        "b45ee145bb34a7a71ec0527fd298032a28aa2527f0d9b74520f258c0aab02348",
     ),
     64: (
-        "8e1b33d1f1cc7c333d18ddb652900907a06aea12cfc75687557859fcc5d44317",
-        "95d4575158b6767e378a092868aa0780906cedbfe694b37a1297ee9649cef5de",
+        "2110f12cd604c3b896ad0f95e8ec9fab6080327b1aeee543de162a06fa7699bf",
+        "739fedf8bba7353338b4b6dda73c6c275b1291bd179b923e20123c754bc8dd11",
     ),
 }
 

@@ -124,6 +124,46 @@ def test_octahedral_example():
         gf.octahedral_example(0.5, 12)
 
 
+@pytest.mark.parametrize("order, bound", [(16, 1e-15), (64, 3e-15)])
+def test_octahedral_example_against_mpmath(order, bound):
+    # b**(1/12) Phi(w - 1) against the left side sum (gamma)_n/(2 lam)_n C_n(x) t**n
+    # at exact lam = 1/4, gamma = -1/12, in 50-digit mpmath
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        lam, gamma = mpmath.mpf(1) / 4, -mpmath.mpf(1) / 12
+        for x in (1.3, 1.5, 2.0, 5.0):
+            rhs = gf.octahedral_example(x, order)[1]
+            assert rhs.order == order
+            xm = mpmath.mpf(x)
+            c, weight = [mpmath.mpf(1), 2 * lam * xm], mpmath.mpf(1)
+            for n in range(order + 1):
+                if n >= 2:
+                    c.append((2 * (n + lam - 1) * xm * c[n - 1] - (n + 2 * lam - 2) * c[n - 2]) / n)
+                ref = weight * c[n]
+                got = mpmath.mpc(mpmath.mpf(str(rhs.coeffs[n].real)), mpmath.mpf(str(rhs.coeffs[n].imag)))
+                assert abs(got - ref) / max(1, abs(ref), abs(got)) <= bound, (x, n)
+                weight *= (gamma + n) / (2 * lam + n)
+
+
+def test_octahedral_phi_against_mpmath():
+    # Phi(delta) = (g+(1+delta)/2)**(1/4) with g+(w) = (1+w)/2 + sqrt((1+w+w**2)/3):
+    # constant term exactly 1, and every coefficient within 16 eps of mpmath's
+    mpmath = pytest.importorskip("mpmath")
+    eps = float(np.finfo(np.longdouble).eps)
+    phi = gf._octa_phi(16)
+    assert phi.size == 17 and not phi.flags.writeable
+    assert gf._octa_phi(16) is phi
+    assert phi[0] == 1 and not phi.imag.any()
+    with mpmath.workdps(30):
+
+        def ref_phi(d):
+            w = 1 + d
+            return (((1 + w) / 2 + mpmath.sqrt((1 + w + w * w) / 3)) / 2) ** 0.25
+
+        for j, c in enumerate(mpmath.taylor(ref_phi, 0, 16)):
+            assert abs(mpmath.mpf(str(phi[j].real)) - c) <= 16 * eps * max(1, abs(c)), j
+
+
 def test_tetrahedral_example():
     for x in (1.5, 2.0):
         lhs, rhs = gf.tetrahedral_example(x, 16, "hyperbolic")
@@ -501,9 +541,10 @@ def _negate_x(fn, _):
         # an integer shift by 1: Miller's gamma, and the alternative weights' numerator
         ("_miller_gammas", _shift_result_by_one, 0, ("miller.g1", "miller.g2", "millerx.plus", "millerx.minus")),
         ("_alt_weights", _shift_numerator_by_one, 0, ("alt.1", "alt.2")),
-        # a prefactor exponent, such as -2a in (1-xt)**(-2a)
+        # a prefactor exponent, such as -2a in (1-xt)**(-2a); the octahedral b = 1 - (x - sqrt(x**2-1))t
+        # is a linear base too, and octa.c14 reads 5.9e-7 (59 tol) at x = 1.3
         ("pow_alpha", _shift_linear_base_exponent, None,
-         ("gf1.b", "gf1.rewrite.b", "gf1x.b", "gf1x.rewrite.b", "gf2.b", "gf2.rewrite.b")),
+         ("gf1.b", "gf1.rewrite.b", "gf1x.b", "gf1x.rewrite.b", "gf2.b", "gf2.rewrite.b", "octa.c14")),
         # the sign of x in 1 - xt, which the tetrahedral D = 1 - xt + R reads too
         ("_one_minus_xt", _negate_x, None,
          ("gf1.a", "gf1.b", "gf1.rewrite.a", "gf1.rewrite.b", "miller.g1", "miller.g2",
@@ -524,9 +565,11 @@ def test_a_shifted_relation_fails_every_id_that_reads_it(monkeypatch, name, shif
     # 6 tol.  The cached tetrahedral table is cleared on both sides of the
     # run: a patched kernel must neither hide behind it nor leak into it.
     gf._tetra_psi.cache_clear()
+    gf._octa_phi.cache_clear()
     monkeypatch.setattr(gf, name, shift(getattr(gf, name), index))
     try:
         reports = [catalog.run_identity(i) for i in catalog.identity_ids()]
     finally:
         gf._tetra_psi.cache_clear()
+        gf._octa_phi.cache_clear()
     assert sorted(r.identity_id for r in reports if not r.overall_pass) == sorted(failing)

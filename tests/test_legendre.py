@@ -170,6 +170,17 @@ def test_reducible_case_vs_oracle():
         reducible_case(0.5, 1, 1.5, L)
 
 
+@pytest.mark.parametrize("mu, big_n, z", [(0.0, 200, 1.001), (0.25, 2, 1.5)])
+def test_reducible_case_against_mpmath(mu, big_n, z):
+    # N!/(1-2mu)_N is a running product of term ratios, so N = 200, whose N!
+    # exceeds double, is served; (0.25, 2) is the catalog's reducible-L pair
+    mpmath = pytest.importorskip("mpmath")
+    got = reducible_case(mu, big_n, z, L)
+    with mpmath.workdps(40):
+        ref = complex(mpmath.legenp(big_n - mpmath.mpf(mu), mu, mpmath.mpf(z), type=3))
+    assert abs(got - ref) <= 1e-14 * abs(ref)
+
+
 def test_cyclic_case_vs_oracle_and_zform():
     for mu in (1.0 / 3.0, 0.25, -0.25):
         for xi in np.linspace(0.3, 2.5, 10):
